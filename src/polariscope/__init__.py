@@ -1,10 +1,15 @@
 """Cavity QED toolkit for a two-level emitter in a single-mode cavity.
 
 Builds the full light-matter coupling Hamiltonian and its rotating-wave
-approximation over a truncated Fock product basis, diagonalizes them with an
-in-house Jacobi eigensolver, and derives polariton spectra, photon-number
-and atomic-energy observables, vacuum Rabi splittings, stick absorption
-spectra, coupling-regime labels, and figure-ready sweep datasets.
+approximation over a truncated Fock product basis and solves them with
+in-house structured eigensolvers: Sturm-count bisection and inverse
+iteration on the two parity chains of the full model, closed-form 2x2
+excitation blocks for the RWA.  A dense Jacobi solver remains for general
+symmetric matrices and as a cross-check.  From the eigensystems it derives
+polariton spectra, photon-number and atomic-energy observables, vacuum Rabi
+splittings, stick absorption spectra, coupling-regime labels, and
+figure-ready sweep datasets, tracking states across couplings by their
+symmetry labels.
 """
 
 from .errors import (
@@ -22,13 +27,20 @@ from .model import (
     FockBasis,
     ModelParams,
     Parity,
+    bare_energies,
     build_basis,
     build_rabi_hamiltonian,
     build_rwa_hamiltonian,
     excitation_count,
     parity,
+    parity_blocks,
 )
-from .eigensolve import EigenSystem, diagonalize, parity_blocks
+from .eigensolve import (
+    EigenSystem,
+    diagonalize,
+    solve_rabi,
+    solve_rabi_grid,
+)
 from .observables import (
     EnergyPartition,
     atomic_energy,
@@ -47,6 +59,7 @@ from .spectra import (
     rwa_analytic_levels,
     rwa_ground_energy,
     rwa_splitting,
+    solve_rwa,
     transition_frequencies,
 )
 from .experiments import (
@@ -91,6 +104,7 @@ __all__ = [
     "absorption_dataset",
     "absorption_lines",
     "atomic_energy",
+    "bare_energies",
     "build_basis",
     "build_rabi_hamiltonian",
     "build_rwa_hamiltonian",
@@ -112,6 +126,9 @@ __all__ = [
     "rwa_analytic_levels",
     "rwa_ground_energy",
     "rwa_splitting",
+    "solve_rabi",
+    "solve_rabi_grid",
+    "solve_rwa",
     "sweep_datasets",
     "track_states",
     "transition_frequencies",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import NonConvergence, UsageError, ValidationError
-from .eigensolve import DEFAULT_TOL, diagonalize
+from .eigensolve import DEFAULT_TOL, solve_rabi
 from .experiments import (
     Dataset,
     SweepGrid,
@@ -36,14 +36,9 @@ from .experiments import (
     sweep_datasets,
 )
 from .io import FORMATS, emit_dataset, emit_plot_script, parse_config_file
-from .model import (
-    ModelParams,
-    build_basis,
-    build_rabi_hamiltonian,
-    build_rwa_hamiltonian,
-)
+from .model import ModelParams, build_basis
 from .observables import atomic_energy, photon_number
-from .spectra import classify_regime
+from .spectra import classify_regime, solve_rwa
 
 COMMANDS = ("spectrum", "sweep", "observables", "absorption", "converge", "regimes")
 
@@ -336,11 +331,8 @@ def _run_spectrum(config: RunConfig) -> None:
         "atomic_energy",
     )
     rows = []
-    for model_name, builder in (
-        ("full", build_rabi_hamiltonian),
-        ("rwa", build_rwa_hamiltonian),
-    ):
-        eig = diagonalize(builder(config.params, basis), basis, tol=config.tol)
+    for model_name, solve in (("full", solve_rabi), ("rwa", solve_rwa)):
+        eig = solve(config.params, basis, tol=config.tol)
         for k in range(min(config.k_states + 1, eig.dim)):
             vector = eig.eigenvectors[:, k]
             rows.append(

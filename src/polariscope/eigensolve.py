@@ -1,22 +1,43 @@
-"""Dense real-symmetric eigensolver and parity-block utilities.
+"""Eigensolvers: structured solvers for the two model Hamiltonians and a
+dense Jacobi solver for any real symmetric matrix.
 
-The solver is a cyclic Jacobi method (row-sweep order): each sweep visits
-every strict upper-triangle pair (p, q) and applies a two-sided rotation
-annihilating that entry.  Rotations preserve symmetry exactly as stored, and
-because rotations are skipped when the target entry is already zero, matrices
-with an exact block structure (such as the parity blocks of the model
-Hamiltonians) never mix their blocks, so eigenvectors stay block-pure.
+The model paths never diagonalize a dense matrix.  Each parity sector of the
+full (Rabi) Hamiltonian is a symmetric tridiagonal chain (Braak, PRL 107,
+100401 (2011)),
+
+    even: |g,0>, |e,1>, |g,2>, ...      odd: |e,0>, |g,1>, |e,2>, ...
+
+with diagonal w_c (j + 1/2) plus the atom energy and off-diagonal
+lam*sqrt(j+1).  ``solve_rabi`` finds each chain's eigenvalues by Sturm-count
+bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)) and its
+eigenvectors by inverse iteration, so parity is known by construction;
+``solve_rabi_grid`` bisects a whole coupling grid at once and builds the
+eigenvectors one grid point at a time.  ``spectra.solve_rwa`` treats the 2x2
+excitation blocks of the rotating-wave Hamiltonian as chains of length 2,
+solved in closed form with the rotation Jacobi would apply.  Both return the
+``EigenSystem`` that ``diagonalize`` returns, with the same ordering and sign
+conventions.
+
+``diagonalize`` is a cyclic Jacobi method (row-sweep order): each sweep
+visits every strict upper-triangle pair (p, q) and applies a two-sided
+rotation annihilating that entry.  Rotations preserve symmetry exactly as
+stored, and because rotations are skipped when the target entry is already
+zero, matrices with an exact block structure (such as the parity blocks of
+the model Hamiltonians) never mix their blocks, so eigenvectors stay
+block-pure.  It remains the general-matrix API and the cross-check of the
+structured solvers.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, BlockLeak, NonConvergence, ValidationError
-from .model import FockBasis, Parity
+from .errors import BasisMismatch, NonConvergence, ValidationError
+from .model import FockBasis, ModelParams, Parity, bare_energies
 
 #: Default convergence tolerance, relative to the Frobenius norm.
 DEFAULT_TOL = 1e-12
@@ -28,6 +49,20 @@ DEFAULT_MAX_SWEEPS = 64
 #: eigenvector is tagged MIXED instead of EVEN/ODD.
 PARITY_TOL = 1e-10
 
+#: Inverse-iteration steps per eigenvector.  The shifts come from bisection
+#: to full precision, so one step already amplifies the wanted eigenvector by
+#: ~1/eps; the second removes what the first solve left of the start vector
+#: (one step leaves residuals near 5e-12 ||H||, two reach the rounding floor).
+INVERSE_STEPS = 2
+
+#: Eigenvalues of one chain closer than this fraction of the spectral radius
+#: are re-orthogonalized as a cluster during inverse iteration (the rule of
+#: LAPACK's dstein).
+_CLUSTER_GAP = 1e-3
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
 _PARITY_RANK = {Parity.EVEN: 0, Parity.ODD: 1, Parity.MIXED: 2}
 
 
@@ -37,10 +72,20 @@ class EigenSystem:
 
     ``eigenvalues`` is ascending and ``eigenvectors[:, k]`` is the unit
     eigenvector of ``eigenvalues[k]``.  ``parities[k]`` labels eigenvector k
-    as EVEN/ODD when its weight on the opposite-parity basis states is at
-    most ``PARITY_TOL`` (MIXED otherwise); it is None when no basis was
-    supplied.  ``sweeps`` and ``residual`` record how many full Jacobi sweeps
-    ran and the final off-diagonal Frobenius norm.
+    as EVEN/ODD: by construction from the structured solvers, and from
+    ``diagonalize`` when its weight on the opposite-parity basis states is at
+    most ``PARITY_TOL`` (MIXED otherwise; None when no basis was supplied).
+    ``sweeps`` counts Jacobi sweeps or inverse-iteration steps.
+    ``residual`` is the final off-diagonal Frobenius norm for Jacobi and the
+    worst eigenpair residual ||Hv - Ev|| for the structured solvers.
+
+    ``labels`` (structured solvers only, else None) names each eigenvector
+    by symmetry, with the same integer for the same state at every coupling,
+    so sweeps track states by label.  Labels are a permutation of
+    0..dim-1: ``2 * rank + (0 even, 1 odd)`` for the full model, where rank
+    counts upward within the parity chain, and for the RWA ``2n - 1`` and
+    ``2n`` for the minus and plus branch of excitation block n, with 0 for
+    |g,0> and ``dim - 1`` for |e,n_max>.
     """
 
     eigenvalues: np.ndarray
@@ -48,6 +93,7 @@ class EigenSystem:
     parities: tuple[Parity, ...] | None
     sweeps: int
     residual: float
+    labels: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -57,6 +103,20 @@ class EigenSystem:
 def _off_norm(a: np.ndarray) -> float:
     """Frobenius norm of the strict off-diagonal part."""
     return float(math.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)))
+
+
+def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
+    """Jacobi rotation (t, c, s) that annihilates apq in [[app, apq], [apq, aqq]].
+
+    The rotated diagonal is (app - t*apq, aqq + t*apq), with eigenvectors
+    (c, -s) and (s, c) over (p, q).
+    """
+    theta = 0.5 * (aqq - app) / apq
+    # Smaller-angle root of t^2 + 2t*theta - 1 = 0; hypot keeps the
+    # expression finite for extreme theta.
+    t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + math.hypot(theta, 1.0))
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    return t, c, t * c
 
 
 def _jacobi(a: np.ndarray, tol: float, max_sweeps: int):
@@ -75,30 +135,18 @@ def _jacobi(a: np.ndarray, tol: float, max_sweeps: int):
                     continue
                 app = a[p, p]
                 aqq = a[q, q]
-                theta = 0.5 * (aqq - app) / apq
-                # Smaller-angle root of t^2 + 2t*theta - 1 = 0; hypot keeps
-                # the expression finite for extreme theta.
-                t = (1.0 if theta >= 0.0 else -1.0) / (
-                    abs(theta) + math.hypot(theta, 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
+                t, c, s = _rotation(app, aqq, apq)
+                for rows in (a, v.T):
+                    old_p = rows[p].copy()
+                    rows[p] = c * old_p - s * rows[q]
+                    rows[q] = s * old_p + c * rows[q]
                 # Mirror the rotated rows into the columns so symmetry holds
                 # exactly, then set the 2x2 block from its closed form.
                 a[:, p] = a[p, :]
                 a[:, q] = a[q, :]
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                a[p, q] = a[q, p] = 0.0
         off = _off_norm(a)
     if off <= threshold:
         return np.diagonal(a).copy(), v, max_sweeps, off
@@ -109,31 +157,32 @@ def _jacobi(a: np.ndarray, tol: float, max_sweeps: int):
     )
 
 
-def _fix_signs(v: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column positive.
-
-    Ties in magnitude are broken by the lowest index (np.argmax convention).
-    """
-    idx = np.argmax(np.abs(v), axis=0)
-    flip = v[idx, np.arange(v.shape[1])] < 0.0
-    v[:, flip] *= -1.0
-    return v
+def _sorted_system(values, dominant, parities, arrange, sweeps, residual, labels=None):
+    """Read-only EigenSystem sorted by eigenvalue, exact ties by parity (EVEN
+    < ODD < MIXED) and then by ``dominant``, the row of each eigenvector's
+    largest component; ``arrange(order)`` returns the eigenvectors in order."""
+    rank = [0] * values.size if parities is None else [_PARITY_RANK[p] for p in parities]
+    order = np.lexsort((dominant, rank, values))
+    values = values[order]
+    vectors = arrange(order)
+    if parities is not None:
+        parities = tuple(parities[i] for i in order)
+    if labels is not None:
+        labels = labels[order]
+        labels.setflags(write=False)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return EigenSystem(values, vectors, parities, sweeps, residual, labels)
 
 
 def _tag_parities(v: np.ndarray, basis: FockBasis) -> tuple[Parity, ...]:
-    amp2 = v**2
-    even_mask = basis.parity_signs > 0
-    odd_mass = amp2[~even_mask, :].sum(axis=0)
-    even_mass = amp2[even_mask, :].sum(axis=0)
-    tags = []
-    for k in range(v.shape[1]):
-        if odd_mass[k] <= PARITY_TOL:
-            tags.append(Parity.EVEN)
-        elif even_mass[k] <= PARITY_TOL:
-            tags.append(Parity.ODD)
-        else:
-            tags.append(Parity.MIXED)
-    return tuple(tags)
+    even_mass, odd_mass = (np.sum(v[rows] ** 2, axis=0) for rows in basis.parity_chains)
+    return tuple(
+        Parity.EVEN if odd <= PARITY_TOL
+        else Parity.ODD if even <= PARITY_TOL
+        else Parity.MIXED
+        for even, odd in zip(even_mass, odd_mass)
+    )
 
 
 def _validate_symmetric(matrix) -> np.ndarray:
@@ -145,6 +194,11 @@ def _validate_symmetric(matrix) -> np.ndarray:
     if not np.array_equal(a, a.T):
         raise ValidationError("matrix must be exactly symmetric as stored")
     return a
+
+
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ValidationError(f"tol must be > 0, got {tol!r}")
 
 
 def diagonalize(
@@ -173,65 +227,187 @@ def diagonalize(
         raise BasisMismatch(
             f"matrix dimension {a.shape[0]} does not match basis dimension {len(basis)}"
         )
-    if not tol > 0:
-        raise ValidationError(f"tol must be > 0, got {tol!r}")
+    _check_tol(tol)
     if max_sweeps < 0:
         raise ValidationError(f"max_sweeps must be >= 0, got {max_sweeps!r}")
 
     diag, v, sweeps, off = _jacobi(a.copy(), tol, max_sweeps)
-    v = _fix_signs(v)
+    # largest-magnitude component positive; ties go to the lowest index
+    dominant = np.argmax(np.abs(v), axis=0)
+    v[:, v[dominant, np.arange(v.shape[1])] < 0.0] *= -1.0
     parities = None if basis is None else _tag_parities(v, basis)
+    return _sorted_system(diag, dominant, parities, lambda order: v[:, order], sweeps, off)
 
-    argmax_idx = np.argmax(np.abs(v), axis=0)
-    rank = (
-        np.zeros(a.shape[0], dtype=int)
-        if parities is None
-        else np.array([_PARITY_RANK[p] for p in parities])
-    )
-    order = np.lexsort((argmax_idx, rank, diag))
 
-    eigenvalues = diag[order]
-    eigenvectors = v[:, order]
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    return EigenSystem(
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        parities=None if parities is None else tuple(parities[i] for i in order),
-        sweeps=sweeps,
-        residual=off,
+def _radius(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """A bound on the spectral radius of each chain, shaped (..., 1)."""
+    return np.max(np.abs(diag), axis=-1, keepdims=True) + 2.0 * np.max(
+        np.abs(off), axis=-1, keepdims=True, initial=0.0
     )
 
 
-def parity_blocks(matrix, basis: FockBasis):
-    """Split a matrix into its even- and odd-parity principal submatrices.
+def _bisect(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """All eigenvalues of symmetric tridiagonal chains, ascending, by bisection.
 
-    Returns ``(even_block, odd_block, permutation)`` where ``permutation``
-    lists the even-parity basis indices followed by the odd-parity ones, so
-    ``matrix[np.ix_(permutation, permutation)]`` is block diagonal with the
-    two returned blocks.  Raises BlockLeak if any cross-parity entry is
-    nonzero, which signals a builder bug.
+    ``diag`` (..., m) and ``off`` (..., m-1) broadcast against each other.
+    Each eigenvalue's bracket is halved until it spans at most two ulps of
+    its chain's spectral radius; a bracket stops moving once it is that
+    narrow, so a chain's result does not depend on what else is batched with
+    it.  The count of eigenvalues below a shift x is the number of negative
+    pivots of the LDL^T factorization of T - x (Sturm count).  A zero or tiny
+    pivot makes the next pivot -inf, which counts it as an infinitesimal
+    positive one; ``off2`` is kept positive so that no 0/0 arises.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] != len(basis):
-        raise BasisMismatch(
-            f"matrix dimension {a.shape[0]} does not match basis dimension {len(basis)}"
-        )
-    even_idx = np.flatnonzero(basis.parity_signs > 0)
-    odd_idx = np.flatnonzero(basis.parity_signs < 0)
-    cross = a[np.ix_(even_idx, odd_idx)]
-    cross_t = a[np.ix_(odd_idx, even_idx)]
-    leaks = int(np.count_nonzero(cross)) + int(np.count_nonzero(cross_t))
-    if leaks:
-        worst = max(float(np.abs(cross).max()), float(np.abs(cross_t).max()))
-        raise BlockLeak(
-            f"{leaks} nonzero cross-parity entries (largest magnitude {worst:.3e})"
-        )
-    permutation = np.concatenate([even_idx, odd_idx])
-    return (
-        a[np.ix_(even_idx, even_idx)],
-        a[np.ix_(odd_idx, odd_idx)],
-        permutation,
+    radius = _radius(diag, off)
+    bound = 2.0 * _EPS * radius + _TINY
+    hi = radius + np.zeros(diag.shape[-1])
+    lo = -hi
+    off2 = off * off + _TINY
+    index = np.arange(diag.shape[-1])
+    with np.errstate(divide="ignore", over="ignore"):
+        while (active := hi - lo > bound).any():
+            mid = 0.5 * (lo + hi)
+            q = diag[..., :1] - mid
+            below = np.zeros(q.shape, dtype=np.intp)
+            below += q < 0
+            for i in range(1, diag.shape[-1]):
+                q = (diag[..., i : i + 1] - mid) - off2[..., i - 1 : i] / q
+                below += q < 0
+            above = below > index
+            hi = np.where(active & above, mid, hi)
+            lo = np.where(active & ~above, mid, lo)
+    return 0.5 * (lo + hi)
+
+
+def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of chains (c, m) with nonzero off-diagonals (c, m-1).
+
+    ``values`` (c, m) are each chain's eigenvalues, ascending; the result is
+    (c, m, m) with ``[s, :, k]`` the eigenvector of ``values[s, k]``.  All
+    shifts run at once: T - value = L D L^T is factored once (pivots below
+    eps times the spectral radius of all chains are raised to it), then each
+    step solves with it and normalizes.  Eigenvalues closer than
+    ``_CLUSTER_GAP`` of that radius are Gram-Schmidt orthogonalized against
+    their cluster after every step, as in LAPACK's dstein, which also
+    separates exact ties.
+    """
+    chains, m = diag.shape
+    radius = float(np.max(_radius(diag, off)))
+    # row-major working layout: [row i, chain, eigenvalue k]
+    piv = diag.T[:, :, None] - values
+    off = off.T[:, :, None]
+    for i in range(m):
+        piv[i][np.abs(piv[i]) < _EPS * radius] = _EPS * radius
+        if i < m - 1:
+            piv[i + 1] -= off[i] ** 2 / piv[i]
+    mult = off / piv[:-1]
+    close = values[:, 1:] - values[:, :-1] <= _CLUSTER_GAP * radius
+    clusters = list(zip(*np.nonzero(close))) if close.any() else []
+    # Generic, distinct start vectors per eigenvalue (multiplicative hashing
+    # of the position), so that tied shifts still produce independent
+    # iterates for the cluster orthogonalization.
+    key = np.arange(m)[:, None, None] * 7919 + np.arange(m) * 104729 + 1
+    v = (key * 2654435761 % 2**32) / 2.0**32 - 0.5 + np.zeros((chains, 1))
+    for _ in range(INVERSE_STEPS):
+        for i in range(1, m):
+            v[i] -= mult[i - 1] * v[i - 1]
+        v /= piv
+        for i in range(m - 2, -1, -1):
+            v[i] -= mult[i] * v[i + 1]
+        v /= np.sqrt(np.sum(v * v, axis=0))
+        for s, k in clusters:
+            first = k
+            while first > 0 and close[s, first - 1]:
+                first -= 1
+            cluster = v[:, s, first : k + 1]
+            w = v[:, s, k + 1]
+            for _ in range(2):
+                w -= cluster @ (cluster.T @ w)
+            w /= math.sqrt(w @ w)
+    return v.transpose(1, 0, 2)
+
+
+def _chain_system(basis, rows, labels, tol, lam, sweeps, diag, off, values, v):
+    """EigenSystem from the eigenpairs of chains (c, m) of basis states ``rows``.
+
+    ``diag`` and ``off`` are the chains, and ``values`` (c, m) and ``v``
+    (c, m, m) their eigenpairs as from ``_inverse_iteration``.  Checks the
+    worst eigenpair residual against ``tol``, applies the conventions of
+    ``diagonalize`` on the chain vectors (each column's parity is that of its
+    largest component), and writes each vector once, into its sorted column.
+    """
+    r = (diag[:, :, None] - values[:, None, :]) * v
+    r[:, 1:] += off[:, :, None] * v[:, :-1]
+    r[:, :-1] += off[:, :, None] * v[:, 1:]
+    residual = float(np.sqrt(np.max(np.sum(r * r, axis=1))))
+    threshold = tol * math.sqrt(float(np.sum(diag * diag) + 2.0 * np.sum(off * off)))
+    if not residual <= threshold:
+        message = f"eigenvector residual {residual:.3e} above threshold {threshold:.3e}"
+        raise NonConvergence(message, residual=residual, lam=lam)
+    chain = np.arange(rows.shape[0])[:, None]
+    top = np.argmax(np.abs(v), axis=1)
+    v = v * np.where(v[chain, top, np.arange(rows.shape[1])] < 0.0, -1.0, 1.0)[:, None, :]
+    dominant = rows[chain, top].ravel()
+    parities = tuple(
+        Parity.EVEN if sign > 0 else Parity.ODD for sign in basis.parity_signs[dominant]
     )
+
+    def place(order):
+        column = np.empty(order.size, dtype=int)
+        column[order] = np.arange(order.size)
+        vectors = np.zeros((basis.dim, basis.dim))
+        vectors[rows[:, :, None], column.reshape(rows.shape)[:, None, :]] = v
+        return vectors
+
+    return _sorted_system(values.ravel(), dominant, parities, place, sweeps, residual, labels)
+
+
+def solve_rabi_grid(
+    params: ModelParams, lams, basis: FockBasis, *, tol: float = DEFAULT_TOL
+) -> Iterator[EigenSystem]:
+    """Eigensystems of the full Hamiltonian at each coupling of ``lams``.
+
+    The ``lam`` field of ``params`` is ignored.  Eigenvalues for the whole
+    grid come from one batched bisection when iteration starts; each
+    point's eigenvectors are computed when the iterator reaches it, so only
+    one point's eigenvectors are held at a time, and each point's result is
+    the same as from a single-point call.
+
+    At lam = 0 the chains are diagonal and each eigenvector is a basis
+    state; a tie within a chain is ranked as a small coupling splits it at
+    resonance, the state with more photons lower.
+
+    ``tol`` keeps its Jacobi meaning as a bound relative to ``||H||_F``: a
+    point whose worst eigenpair residual ``||Hv - Ev||`` exceeds
+    ``tol * ||H||_F`` raises NonConvergence with its coupling attached.
+    """
+    _check_tol(tol)
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1 or not np.all(np.isfinite(lams) & (lams >= 0)):
+        raise ValidationError("couplings must be a 1-D array of finite values >= 0")
+    m = basis.n_max + 1
+    rows = basis.parity_chains
+    diag = bare_energies(params, basis)[rows]
+    root = np.sqrt(np.arange(1.0, m))
+    values = _bisect(diag, lams[:, None, None] * root)
+    labels = (2 * np.arange(m) + np.arange(2)[:, None]).ravel()
+    for lam, lam_values in zip(lams, values):
+        off = lam * np.broadcast_to(root, (2, m - 1))
+        if lam == 0.0:
+            # diagonal chains: exact energies, basis-state eigenvectors
+            order = np.stack([np.lexsort((-np.arange(m), chain)) for chain in diag])
+            lam_values = diag[[[0], [1]], order]
+            v = np.eye(m)[:, order].transpose(1, 0, 2)
+        else:
+            v = _inverse_iteration(diag, off, lam_values)
+        yield _chain_system(
+            basis, rows, labels, tol, float(lam), INVERSE_STEPS, diag, off, lam_values, v
+        )
+
+
+def solve_rabi(
+    params: ModelParams, basis: FockBasis, *, tol: float = DEFAULT_TOL
+) -> EigenSystem:
+    """Eigensystem of ``build_rabi_hamiltonian(params, basis)`` from its two
+    parity chains, without forming the matrix.  See ``solve_rabi_grid``."""
+    return next(solve_rabi_grid(params, [params.lam], basis, tol=tol))

@@ -12,8 +12,10 @@ class UsageError(Exception):
 class NonConvergence(RuntimeError):
     """Eigensolver failed to reach the requested tolerance.
 
-    Carries the final off-diagonal residual and, when raised from a sweep,
-    the coupling value at which it happened.
+    Carries the residual that failed the check (the off-diagonal norm for
+    Jacobi, the worst eigenpair residual for the structured solvers) and,
+    when raised by a structured solver, the coupling value at which it
+    happened.
     """
 
     def __init__(self, message, residual=None, lam=None):

@@ -1,14 +1,17 @@
 """Coupling sweeps, eigenstate tracking, truncation convergence, and
 figure-ready datasets.
 
-``run_sweep`` diagonalizes both Hamiltonians on a uniform coupling grid and
-reports, per grid point, the lowest eigenvalues, photon numbers, atomic
-energies, transition frequencies, the two absorption peak positions, and
-their splitting.  Each per-state quantity appears under two labelings: sorted
-(ascending energy at that grid point) and tracked (states followed
-continuously across the grid by eigenvector overlap, so curves keep their
-identity through crossings).  Tracked curve c starts as sorted index c at
-the first grid point.
+``run_sweep`` solves both Hamiltonians on a uniform coupling grid with the
+structured solvers and reports, per grid point, the lowest eigenvalues,
+photon numbers, atomic energies, transition frequencies, the two absorption
+peak positions, and their splitting.  Each per-state quantity appears under
+two labelings: sorted (ascending energy at that grid point) and tracked
+(states followed across the grid by their symmetry label, so curves keep
+their identity through crossings).  Tracked curve c starts as sorted index c
+at the first grid point.  The label is (parity, rank within parity) for the
+full model, whose parity chains have simple spectra for lam > 0, and
+(excitation block, branch) for the RWA; ``track_states`` follows states by
+eigenvector overlap instead and gives the same curves.
 """
 
 from __future__ import annotations
@@ -17,27 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguousTracking, NonConvergence, ValidationError
-from .eigensolve import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_TOL,
-    EigenSystem,
-    diagonalize,
-)
-from .model import (
-    FockBasis,
-    ModelParams,
-    Parity,
-    build_basis,
-    build_rabi_hamiltonian,
-    build_rwa_hamiltonian,
-)
-from .observables import atomic_energy, photon_number
+from .errors import AmbiguousTracking, ValidationError
+from .eigensolve import DEFAULT_TOL, EigenSystem, solve_rabi, solve_rabi_grid
+from .model import ModelParams, Parity, build_basis
+from .observables import NORM_TOL
 from .spectra import (
     DEFAULT_LINE_THRESHOLD,
     Regime,
     absorption_lines,
     classify_regime,
+    solve_rwa,
 )
 
 #: Minimum eigenvector overlap for an unambiguous tracking step.
@@ -154,16 +146,23 @@ def track_states(previous: EigenSystem, current: EigenSystem) -> np.ndarray:
 
 
 def _observable_arrays(eig: EigenSystem, params: ModelParams):
-    """Photon number and atomic energy of every eigenvector column."""
-    nbar = np.array([photon_number(eig.eigenvectors[:, k]) for k in range(eig.dim)])
-    eatom = np.array(
-        [atomic_energy(eig.eigenvectors[:, k], params) for k in range(eig.dim)]
-    )
+    """Photon number and atomic energy of every eigenvector column.
+
+    The same quantities as ``photon_number`` and ``atomic_energy``, with the
+    same unit-norm check, for all columns at once.
+    """
+    weights = eig.eigenvectors**2
+    norms = np.sqrt(np.sum(weights, axis=0))
+    off_norm = np.abs(norms - 1.0) > NORM_TOL
+    if off_norm.any():
+        raise ValidationError(f"state must have unit norm, got {norms[off_norm][0]!r}")
+    nbar = (np.arange(eig.dim) // 2) @ weights
+    eatom = params.omega1 + params.omega21 * np.sum(weights[1::2], axis=0)
     return nbar, eatom
 
 
 def _curve_positions(labels: np.ndarray) -> np.ndarray:
-    """Invert a label array: position[c] = sorted index carrying curve c."""
+    """Invert a label array: position[c] = sorted index carrying label c."""
     positions = np.empty(labels.size, dtype=int)
     positions[labels] = np.arange(labels.size)
     return positions
@@ -180,19 +179,16 @@ def _full_peaks(eig: EigenSystem) -> np.ndarray:
     return eig.eigenvalues[odd] - eig.eigenvalues[0]
 
 
-def _rwa_peaks(eig: EigenSystem, basis: FockBasis) -> np.ndarray:
+def _rwa_peaks(eig: EigenSystem) -> np.ndarray:
     """Absorption peak positions of the RWA Hamiltonian.
 
-    Every RWA eigenvector lives in a single excitation block, so the block
-    id is the exact integer ``excitations @ amplitudes**2``.  The peaks are
-    the transitions from the zero-excitation |g,0> eigenstate to the two
-    one-excitation polaritons; past lam = omega_c the lower one is negative
-    (the polariton has sunk below |g,0>), reproducing the RWA pathology.
+    The transitions from the zero-excitation |g,0> eigenstate (label 0) to
+    the minus and plus one-excitation polaritons (labels 1 and 2); past
+    lam = omega_c the lower one is negative (the polariton has sunk below
+    |g,0>), reproducing the RWA pathology.
     """
-    blocks = np.rint(basis.excitations @ eig.eigenvectors**2).astype(int)
-    ground = int(np.flatnonzero(blocks == 0)[0])
-    pair = np.flatnonzero(blocks == 1)[:2]
-    return eig.eigenvalues[pair] - eig.eigenvalues[ground]
+    ground, minus, plus = _curve_positions(eig.labels)[:3]
+    return eig.eigenvalues[[minus, plus]] - eig.eigenvalues[ground]
 
 
 def _frozen(values) -> np.ndarray:
@@ -207,13 +203,13 @@ def run_sweep(
     k_states: int = 7,
     *,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> list[SweepRow]:
-    """Diagonalize both Hamiltonians across the grid and tabulate results.
+    """Solve both Hamiltonians across the grid and tabulate results.
 
     Needs k_states + 1 eigenstates (ground plus K transitions), so the basis
     dimension 2(n_max+1) must be at least k_states + 1.  NonConvergence from
     the eigensolver propagates with the offending coupling value attached.
+    Each point's eigensystems are dropped once its row is built.
     """
     if k_states != int(k_states) or k_states < 1:
         raise ValidationError(f"k_states must be an integer >= 1, got {k_states!r}")
@@ -224,56 +220,39 @@ def run_sweep(
             "tracked states are resolved"
         )
     basis = build_basis(n_max)
+    lams = grid.values()
     rows: list[SweepRow] = []
-    prev_full = prev_rwa = None
-    labels_full = labels_rwa = np.arange(basis.dim)
-    for lam in grid.values():
+    curves_full = curves_rwa = None
+    for lam, eig_full in zip(
+        lams, solve_rabi_grid(grid.params_base, lams, basis, tol=tol)
+    ):
         params = grid.params_base.with_lambda(float(lam))
-        try:
-            eig_full = diagonalize(
-                build_rabi_hamiltonian(params, basis),
-                basis,
-                tol=tol,
-                max_sweeps=max_sweeps,
-            )
-            eig_rwa = diagonalize(
-                build_rwa_hamiltonian(params, basis),
-                basis,
-                tol=tol,
-                max_sweeps=max_sweeps,
-            )
-        except NonConvergence as exc:
-            exc.lam = float(lam)
-            raise
-        if prev_full is not None:
-            labels_full = labels_full[track_states(prev_full, eig_full)]
-            labels_rwa = labels_rwa[track_states(prev_rwa, eig_rwa)]
+        eig_rwa = solve_rwa(params, basis, tol=tol)
+        if curves_full is None:
+            curves_full = eig_full.labels[:k_states]
+            curves_rwa = eig_rwa.labels[:k_states]
         rows.append(
-            _make_row(
-                params, basis, eig_full, eig_rwa, labels_full, labels_rwa, k_states
-            )
+            _make_row(params, eig_full, eig_rwa, curves_full, curves_rwa, k_states)
         )
-        prev_full, prev_rwa = eig_full, eig_rwa
     return rows
 
 
 def _make_row(
     params: ModelParams,
-    basis: FockBasis,
     eig_full: EigenSystem,
     eig_rwa: EigenSystem,
-    labels_full: np.ndarray,
-    labels_rwa: np.ndarray,
+    curves_full: np.ndarray,
+    curves_rwa: np.ndarray,
     k: int,
 ) -> SweepRow:
     nbar_full, eatom_full = _observable_arrays(eig_full, params)
     nbar_rwa, eatom_rwa = _observable_arrays(eig_rwa, params)
-    pos_full = _curve_positions(labels_full)[:k]
-    pos_rwa = _curve_positions(labels_rwa)[:k]
+    pos_full = _curve_positions(eig_full.labels)[curves_full]
+    pos_rwa = _curve_positions(eig_rwa.labels)[curves_rwa]
     nu_full = eig_full.eigenvalues[1 : k + 1] - eig_full.eigenvalues[0]
     nu_rwa = eig_rwa.eigenvalues[1 : k + 1] - eig_rwa.eigenvalues[0]
     peaks_full = _full_peaks(eig_full)
-    peaks_rwa = _rwa_peaks(eig_rwa, basis)
+    peaks_rwa = _rwa_peaks(eig_rwa)
     return SweepRow(
         lam=params.lam,
         regime=classify_regime(params.lam, params.omega_c),
@@ -314,7 +293,6 @@ def convergence_study(
     k_states: int = 7,
     *,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> list[ConvergenceRow]:
     """Lowest-K energies of the full Hamiltonian at each truncation.
 
@@ -337,13 +315,7 @@ def convergence_study(
         )
     energy_table = []
     for n_max in n_maxes:
-        basis = build_basis(n_max)
-        eig = diagonalize(
-            build_rabi_hamiltonian(params, basis),
-            basis,
-            tol=tol,
-            max_sweeps=max_sweeps,
-        )
+        eig = solve_rabi(params, build_basis(n_max), tol=tol)
         energy_table.append(eig.eigenvalues[:k_states].copy())
     reference = energy_table[-1]
     return [
@@ -375,7 +347,6 @@ def sweep_datasets(
     k_states: int = 7,
     *,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> dict[str, Dataset]:
     """The four sweep-based datasets from one grid run.
 
@@ -383,7 +354,7 @@ def sweep_datasets(
     fig3: transition frequencies and the splitting of the lowest pair;
     fig4_left / fig4_right: photon number / atomic energy per state.
     """
-    rows = run_sweep(grid, n_max, k_states, tol=tol, max_sweeps=max_sweeps)
+    rows = run_sweep(grid, n_max, k_states, tol=tol)
     k = k_states
 
     fig2_cols = (
@@ -480,7 +451,6 @@ def absorption_dataset(
     threshold: float = DEFAULT_LINE_THRESHOLD,
     hermitian: bool = False,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> Dataset:
     """Absorption sticks of both Hamiltonians at one coupling (fig5)."""
     basis = build_basis(n_max)
@@ -493,13 +463,8 @@ def absorption_dataset(
         "raw_intensity",
     )
     rows = []
-    for model_name, builder in (
-        ("full", build_rabi_hamiltonian),
-        ("rwa", build_rwa_hamiltonian),
-    ):
-        eig = diagonalize(
-            builder(params, basis), basis, tol=tol, max_sweeps=max_sweeps
-        )
+    for model_name, solve in (("full", solve_rabi), ("rwa", solve_rwa)):
+        eig = solve(params, basis, tol=tol)
         for line in absorption_lines(eig, basis, threshold, hermitian=hermitian):
             rows.append(
                 (
@@ -523,17 +488,15 @@ def figure_datasets(
     threshold: float = DEFAULT_LINE_THRESHOLD,
     hermitian: bool = False,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> dict[str, Dataset]:
     """All five figure-ready datasets: the sweep tables plus the absorption
     sticks at ``fig5_lambda``."""
-    datasets = sweep_datasets(grid, n_max, k_states, tol=tol, max_sweeps=max_sweeps)
+    datasets = sweep_datasets(grid, n_max, k_states, tol=tol)
     datasets["fig5"] = absorption_dataset(
         grid.params_base.with_lambda(fig5_lambda),
         n_max,
         threshold=threshold,
         hermitian=hermitian,
         tol=tol,
-        max_sweeps=max_sweeps,
     )
     return datasets

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BasisMismatch, BlockLeak, ValidationError
 
 
 class Atom(Enum):
@@ -178,6 +178,19 @@ class FockBasis:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def parity_chains(self) -> np.ndarray:
+        """Basis indices of the even and odd chains, shape (2, n_max+1).
+
+        Row 0 is |g,0>, |e,1>, |g,2>, ... and row 1 is |e,0>, |g,1>, |e,2>,
+        ...; each row ascends, and the full Hamiltonian couples only
+        neighbours along a row.
+        """
+        j = np.arange(self.n_max + 1)
+        arr = 2 * j + (j + np.arange(2)[:, None]) % 2
+        arr.setflags(write=False)
+        return arr
+
     def __len__(self) -> int:
         return self.dim
 
@@ -214,6 +227,17 @@ def _bare_hamiltonian(params: ModelParams, basis: FockBasis) -> np.ndarray:
     return np.kron(cavity, np.eye(2)) + np.kron(np.eye(basis.n_max + 1), atom)
 
 
+def bare_energies(params: ModelParams, basis: FockBasis) -> np.ndarray:
+    """Diagonal of both Hamiltonians, w_c (n + 1/2) plus the atom energy of
+    each basis state in canonical order, with the same floating-point
+    operations as the matrix builders (the Kronecker factors are 1.0 and
+    0.0, which change no bits)."""
+    excited = np.arange(basis.dim) % 2 == 1
+    return params.omega_c * (basis.photon_numbers + 0.5) + np.where(
+        excited, params.omega2, params.omega1
+    )
+
+
 def build_rabi_hamiltonian(params: ModelParams, basis: FockBasis) -> np.ndarray:
     """Full coupling Hamiltonian, counter-rotating terms included.
 
@@ -239,3 +263,36 @@ def build_rwa_hamiltonian(params: ModelParams, basis: FockBasis) -> np.ndarray:
     sigma_plus = np.array([[0.0, 0.0], [1.0, 0.0]])  # |e><g|
     raising = np.kron(a, sigma_plus)
     return _bare_hamiltonian(params, basis) + params.lam * (raising + raising.T)
+
+
+def parity_blocks(matrix, basis: FockBasis):
+    """Split a matrix into its even- and odd-parity principal submatrices.
+
+    Returns ``(even_block, odd_block, permutation)`` where ``permutation``
+    lists the even-parity basis indices followed by the odd-parity ones, so
+    ``matrix[np.ix_(permutation, permutation)]`` is block diagonal with the
+    two returned blocks.  Raises BlockLeak if any cross-parity entry is
+    nonzero, which signals a builder bug.
+    """
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] != len(basis):
+        raise BasisMismatch(
+            f"matrix dimension {a.shape[0]} does not match basis dimension {len(basis)}"
+        )
+    even_idx, odd_idx = basis.parity_chains
+    cross = a[np.ix_(even_idx, odd_idx)]
+    cross_t = a[np.ix_(odd_idx, even_idx)]
+    leaks = int(np.count_nonzero(cross)) + int(np.count_nonzero(cross_t))
+    if leaks:
+        worst = max(float(np.abs(cross).max()), float(np.abs(cross_t).max()))
+        raise BlockLeak(
+            f"{leaks} nonzero cross-parity entries (largest magnitude {worst:.3e})"
+        )
+    permutation = np.concatenate([even_idx, odd_idx])
+    return (
+        a[np.ix_(even_idx, even_idx)],
+        a[np.ix_(odd_idx, odd_idx)],
+        permutation,
+    )

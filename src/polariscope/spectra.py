@@ -9,7 +9,7 @@ n >= 1, so its spectrum has the closed form
 
 with Delta = w21 - w_c, alongside the ground energy w1 + w_c/2.  The
 zero-point term is included so these values match the matrix builders
-exactly.
+exactly.  ``solve_rwa`` gives the whole eigensystem from the same blocks.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from .errors import ValidationError
-from .eigensolve import EigenSystem
-from .model import FockBasis, ModelParams
+from .eigensolve import DEFAULT_TOL, EigenSystem, _chain_system, _check_tol, _rotation
+from .model import FockBasis, ModelParams, bare_energies
 from .observables import dipole_element
 
 #: Default relative-intensity cutoff for absorption lines.
@@ -74,6 +74,34 @@ def rwa_splitting(params: ModelParams, n: int) -> float:
     """Energy gap eps_plus - eps_minus of block n: sqrt(Delta^2 + 4 n lam^2)."""
     minus, plus = rwa_analytic_levels(params, n)
     return plus.energy - minus.energy
+
+
+def solve_rwa(
+    params: ModelParams, basis: FockBasis, *, tol: float = DEFAULT_TOL
+) -> EigenSystem:
+    """Eigensystem of ``build_rwa_hamiltonian(params, basis)`` in closed form.
+
+    Each excitation block n = 1..n_max over (|e,n-1>, |g,n>) is one Jacobi
+    rotation, the one ``diagonalize`` applies to the matrix, so both give
+    the same bits; block 0 pairs the uncoupled |g,0> and |e,n_max>.  The
+    minus branch of a block is |e,n-1>'s rotation when |g,n> lies at least
+    as high, which also fixes the branches of a tie at lam = 0.  ``tol`` is
+    checked as in ``solve_rabi_grid``.
+    """
+    _check_tol(tol)
+    n = np.arange(basis.n_max + 1)
+    rows = np.stack([2 * n - 1, 2 * n], axis=1)
+    rows[0] = 0, basis.dim - 1
+    diag = bare_energies(params, basis)[rows]
+    off = params.lam * np.sqrt(n[:, None].astype(float))
+    t, c, s = np.array([
+        _rotation(p, q, b) if b else (0.0, 1.0, 0.0)
+        for (p, q), (b,) in zip(diag.tolist(), off.tolist())
+    ]).T
+    values = diag + np.stack([-t, t], axis=1) * off
+    v = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=2)
+    labels = np.where(diag[:, 1:] < diag[:, :1], rows[:, ::-1], rows).ravel()
+    return _chain_system(basis, rows, labels, tol, params.lam, 1, diag, off, values, v)
 
 
 def transition_frequencies(eig: EigenSystem, ground_index: int = 0) -> np.ndarray:

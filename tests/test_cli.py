@@ -217,10 +217,21 @@ def test_main_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ps.NonConvergence("no convergence after 64 sweeps", residual=1.0)
 
-    monkeypatch.setattr("polariscope.cli.diagonalize", explode)
+    monkeypatch.setattr("polariscope.cli.solve_rabi", explode)
     code = main(["spectrum", "--out", str(tmp_path)])
     assert code == 2
     assert "converge" in capsys.readouterr().err
+
+
+def test_main_tiny_tol_trips_the_residual_check(tmp_path, capsys):
+    # the structured solvers hold every eigenpair residual to tol * ||H||_F;
+    # rounding alone leaves ~1e-16 of ||H||_F, far above 1e-30
+    code = main(["spectrum", "--tol", "1e-30", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "converge" in err
+    assert "lambda=0.5" in err
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 def test_main_io_error_exit_code(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import polariscope as ps
 from polariscope import Atom, ModelParams, Parity
@@ -237,3 +239,120 @@ def test_jacobi_never_mixes_parity_blocks(basis14):
         column = eig.eigenvectors[:, k]
         dominant = np.sign(signs[np.argmax(np.abs(column))])
         assert np.all(column[signs != dominant] == 0.0)
+
+
+def _order_agrees(a: ps.EigenSystem, b: ps.EigenSystem, atol: float) -> bool:
+    """Same parity sequence, except that levels closer than atol (whose
+    order only rounding decides) may come in either order."""
+    w = a.eigenvalues
+    cuts = np.r_[0, np.flatnonzero(np.diff(w) > atol) + 1, w.size]
+    return all(
+        sorted(p.value for p in a.parities[lo:hi])
+        == sorted(p.value for p in b.parities[lo:hi])
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    )
+
+
+_ENERGY = st.floats(min_value=0.0, max_value=3.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    omega1=_ENERGY,
+    omega2=_ENERGY,
+    omega_c=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
+    lam=_ENERGY,
+    n_max=st.sampled_from([0, 1, 2, 14, 40]),
+)
+@example(omega1=0.0, omega2=1.0, omega_c=1.0, lam=0.0, n_max=14)
+@example(omega1=0.0, omega2=1.0, omega_c=1.0, lam=1e-9, n_max=14)
+@example(omega1=0.0, omega2=1.0, omega_c=4e-194, lam=1.0, n_max=0)
+def test_structured_solvers_match_jacobi_and_lapack(omega1, omega2, omega_c, lam, n_max):
+    assume(omega2 > omega1)
+    # below this Jacobi's stopping threshold tol * ||H||_F underflows to 0
+    assume(omega2 + omega_c > 1e-100)
+    params = ModelParams(omega1=omega1, omega2=omega2, omega_c=omega_c, lam=lam)
+    basis = ps.build_basis(n_max)
+    even = basis.parity_signs > 0
+    for build, solve in (
+        (ps.build_rabi_hamiltonian, ps.solve_rabi),
+        (ps.build_rwa_hamiltonian, ps.solve_rwa),
+    ):
+        h = build(params, basis)
+        atol = 1e-12 * np.linalg.norm(h)
+        eig = solve(params, basis)
+        jacobi = ps.diagonalize(h, basis)
+        v, w = eig.eigenvectors, eig.eigenvalues
+        assert np.max(np.abs(w - np.linalg.eigvalsh(h))) <= atol
+        assert np.max(np.abs(w - jacobi.eigenvalues)) <= atol
+        assert np.max(np.abs(v.T @ v - np.eye(basis.dim))) <= 1e-12
+        assert np.max(np.linalg.norm(h @ v - v * w, axis=0)) <= atol
+        assert eig.residual <= atol
+        for k, parity in enumerate(eig.parities):
+            assert not np.any(v[~even if parity is Parity.EVEN else even, k])
+        assert np.all(v[np.argmax(np.abs(v), axis=0), np.arange(basis.dim)] > 0)
+        assert _order_agrees(eig, jacobi, atol)
+        assert np.array_equal(np.sort(eig.labels), np.arange(basis.dim))
+        if lam == 0.0 or (build is ps.build_rwa_hamiltonian and jacobi.sweeps > 0):
+            # no rotation at lam = 0; once Jacobi sweeps the RWA at all, it
+            # applies exactly one rotation per block
+            assert np.array_equal(w, jacobi.eigenvalues)
+            assert np.array_equal(v, jacobi.eigenvectors)
+            assert eig.parities == jacobi.parities
+
+
+def test_rabi_labels_are_parity_and_rank():
+    basis = ps.build_basis(6)
+    eig = ps.solve_rabi(ModelParams(omega2=1.3, lam=0.9), basis)
+    for parity, bit in ((Parity.EVEN, 0), (Parity.ODD, 1)):
+        positions = [k for k, p in enumerate(eig.parities) if p is parity]
+        assert np.array_equal(eig.labels[positions], 2 * np.arange(7) + bit)
+
+
+def test_rabi_lambda_zero_ties_rank_the_photon_richer_state_lower():
+    # at resonance |e,n-1> and |g,n> tie at lam = 0; a small coupling puts
+    # the |g,n>-dominated polariton lower, so |g,n> takes the lower rank
+    basis = ps.build_basis(3)
+    eig = ps.solve_rabi(ModelParams(lam=0.0), basis)
+    assert np.array_equal(eig.eigenvectors, np.eye(8))
+    # columns |g,0>, |e,0>, |g,1>, |e,1>, |g,2>, |e,2>, |g,3>, |e,3>
+    assert np.array_equal(eig.labels, [0, 3, 1, 4, 2, 7, 5, 6])
+    assert eig.residual == 0.0
+
+
+def test_rwa_labels_are_block_and_branch():
+    basis = ps.build_basis(4)
+    for omega2, swapped in ((1.0, False), (0.8, False), (1.2, True)):
+        eig = ps.solve_rwa(ModelParams(omega2=omega2, lam=0.3), basis)
+        block = np.rint(basis.excitations @ eig.eigenvectors**2)
+        assert np.array_equal(block, (eig.labels + 1) // 2)
+        position = np.argsort(eig.labels)
+        for n in range(1, 5):
+            assert eig.eigenvalues[position[2 * n - 1]] < eig.eigenvalues[position[2 * n]]
+        # the minus branch at lam = 0 is the lower bare state of each block
+        bare = ps.solve_rwa(ModelParams(omega2=omega2), basis)
+        minus = np.flatnonzero(bare.labels == 1)[0]
+        assert np.argmax(bare.eigenvectors[:, minus]) == (2 if swapped else 1)
+
+
+def test_solve_rabi_grid_matches_single_point_solves():
+    basis = ps.build_basis(8)
+    base = ModelParams(omega2=1.1)
+    lams = np.linspace(0.0, 1.5, 7)
+    for lam, eig in zip(lams, ps.solve_rabi_grid(base, lams, basis)):
+        single = ps.solve_rabi(base.with_lambda(lam), basis)
+        assert np.array_equal(eig.eigenvalues, single.eigenvalues)
+        assert np.array_equal(eig.eigenvectors, single.eigenvectors)
+        assert np.array_equal(eig.labels, single.labels)
+
+
+@pytest.mark.parametrize("solve", [ps.solve_rabi, ps.solve_rwa])
+def test_structured_tol_bounds_the_residual(solve):
+    params = ModelParams(lam=0.5)
+    basis = ps.build_basis(6)
+    with pytest.raises(ps.NonConvergence) as info:
+        solve(params, basis, tol=1e-30)
+    assert info.value.residual > 0
+    assert info.value.lam == 0.5
+    with pytest.raises(ps.ValidationError):
+        solve(params, basis, tol=0.0)

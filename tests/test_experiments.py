@@ -5,6 +5,7 @@ import pytest
 
 import polariscope as ps
 from polariscope import EigenSystem, ModelParams, Regime
+from polariscope.experiments import _observable_arrays
 
 
 def _synthetic(vectors: np.ndarray) -> EigenSystem:
@@ -318,3 +319,56 @@ def test_fig3_full_peaks_move_down_while_rwa_splits(default_sweep):
     full_gaps = [by_lam[lam].delta_nu_full for lam in (0.6, 0.8, 1.0, 1.2)]
     assert max(full_gaps) - min(full_gaps) <= 0.1 * max(full_gaps)
     assert by_lam[1.2].delta_nu_rwa == pytest.approx(2.4, abs=1e-12)
+
+
+@pytest.mark.parametrize("omega2", [1.0, 0.8, 1.2])
+def test_label_tracking_matches_overlap_tracking(omega2):
+    # run_sweep follows states by symmetry label; chaining track_states over
+    # the same eigensystems must give the same tracked columns, including
+    # the resonant fork at lambda = 0
+    grid = ps.SweepGrid(params_base=ModelParams(omega2=omega2))
+    basis = ps.build_basis(14)
+    rows = ps.run_sweep(grid, n_max=14, k_states=7)
+    lams = grid.values()
+    full = ps.solve_rabi_grid(grid.params_base, lams, basis)
+    rwa = (ps.solve_rwa(grid.params_base.with_lambda(lam), basis) for lam in lams)
+    for model, systems in (("full", full), ("rwa", rwa)):
+        curves = np.arange(basis.dim)
+        prev = None
+        for row, eig in zip(rows, systems):
+            if prev is not None:
+                curves = curves[ps.track_states(prev, eig)]
+            positions = np.empty(basis.dim, dtype=int)
+            positions[curves] = np.arange(basis.dim)
+            params = grid.params_base.with_lambda(row.lam)
+            nbar, eatom = _observable_arrays(eig, params)
+            pos = positions[:7]
+            for quantity, values in (
+                ("energies", eig.eigenvalues),
+                ("photon_numbers", nbar),
+                ("atomic_energies", eatom),
+            ):
+                tracked = getattr(row, f"{quantity}_{model}_tracked")
+                assert np.array_equal(tracked, values[pos])
+            prev = eig
+
+
+def test_observable_arrays_match_per_state_functions():
+    params = ModelParams(omega1=0.3, omega2=1.4, lam=0.7)
+    eig = ps.solve_rabi(params, ps.build_basis(10))
+    nbar, eatom = _observable_arrays(eig, params)
+    for k in range(eig.dim):
+        column = eig.eigenvectors[:, k]
+        assert nbar[k] == pytest.approx(ps.photon_number(column), rel=1e-14, abs=1e-15)
+        assert eatom[k] == pytest.approx(
+            ps.atomic_energy(column, params), rel=1e-14, abs=1e-15
+        )
+    stretched = EigenSystem(
+        eigenvalues=eig.eigenvalues,
+        eigenvectors=eig.eigenvectors * (1.0 + 1e-9),
+        parities=eig.parities,
+        sweeps=eig.sweeps,
+        residual=eig.residual,
+    )
+    with pytest.raises(ps.ValidationError, match="unit norm"):
+        _observable_arrays(stretched, params)

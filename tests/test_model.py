@@ -183,3 +183,15 @@ def test_basis_state_validation():
 def test_build_basis_validation(n_max):
     with pytest.raises(ps.ValidationError):
         ps.build_basis(n_max)
+
+
+def test_parity_chains_and_bare_energies():
+    basis = ps.build_basis(2)
+    # even chain |g,0>, |e,1>, |g,2>; odd chain |e,0>, |g,1>, |e,2>
+    assert np.array_equal(basis.parity_chains, [[0, 3, 4], [1, 2, 5]])
+    for row, sign in zip(basis.parity_chains, (1, -1)):
+        assert np.all(basis.parity_signs[row] == sign)
+    params = ModelParams(omega1=0.2, omega2=1.3, omega_c=0.9, lam=0.4)
+    for build in (ps.build_rabi_hamiltonian, ps.build_rwa_hamiltonian):
+        diagonal = np.diag(build(params, basis))
+        assert np.array_equal(diagonal, ps.bare_energies(params, basis))
