@@ -153,9 +153,9 @@ def _observable_arrays(eig: EigenSystem, params: ModelParams):
     """
     weights = eig.eigenvectors**2
     norms = np.sqrt(np.sum(weights, axis=0))
-    off_norm = np.abs(norms - 1.0) > NORM_TOL
-    if off_norm.any():
-        raise ValidationError(f"state must have unit norm, got {norms[off_norm][0]!r}")
+    not_unit = np.abs(norms - 1.0) > NORM_TOL
+    if not_unit.any():
+        raise ValidationError(f"state must have unit norm, got {norms[not_unit][0]!r}")
     nbar = (np.arange(eig.dim) // 2) @ weights
     eatom = params.omega1 + params.omega21 * np.sum(weights[1::2], axis=0)
     return nbar, eatom
