@@ -16,8 +16,8 @@ from polariscope import ModelParams
 params = ModelParams(lam=0.5)
 basis = ps.build_basis(14)
 
-eig_full = ps.diagonalize(ps.build_rabi_hamiltonian(params, basis), basis)
-eig_rwa = ps.diagonalize(ps.build_rwa_hamiltonian(params, basis), basis)
+eig_full = ps.solve_rabi(params, basis)
+eig_rwa = ps.solve_rwa(params, basis)
 
 lines_full = ps.absorption_lines(eig_full, basis)
 lines_rwa = ps.absorption_lines(eig_rwa, basis)

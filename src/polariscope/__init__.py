@@ -13,7 +13,6 @@ symmetry labels.
 """
 
 from .errors import (
-    AmbiguousTracking,
     BasisMismatch,
     BlockLeak,
     NonConvergence,
@@ -23,7 +22,6 @@ from .errors import (
 )
 from .model import (
     Atom,
-    BasisState,
     FockBasis,
     ModelParams,
     Parity,
@@ -31,8 +29,6 @@ from .model import (
     build_basis,
     build_rabi_hamiltonian,
     build_rwa_hamiltonian,
-    excitation_count,
-    parity,
     parity_blocks,
 )
 from .eigensolve import (
@@ -72,17 +68,14 @@ from .experiments import (
     figure_datasets,
     run_sweep,
     sweep_datasets,
-    track_states,
 )
 from .io import emit_dataset, emit_plot_script, parse_config_file
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousTracking",
     "Atom",
     "BasisMismatch",
-    "BasisState",
     "BlockLeak",
     "Branch",
     "ConvergenceRow",
@@ -115,9 +108,7 @@ __all__ = [
     "emit_dataset",
     "emit_plot_script",
     "energy_partition",
-    "excitation_count",
     "figure_datasets",
-    "parity",
     "parity_blocks",
     "parse_config_file",
     "photon_number",
@@ -130,7 +121,6 @@ __all__ = [
     "solve_rabi_grid",
     "solve_rwa",
     "sweep_datasets",
-    "track_states",
     "transition_frequencies",
     "__version__",
 ]

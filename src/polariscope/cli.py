@@ -23,7 +23,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import NonConvergence, UsageError, ValidationError
@@ -35,7 +37,7 @@ from .experiments import (
     convergence_study,
     sweep_datasets,
 )
-from .io import FORMATS, emit_dataset, emit_plot_script, parse_config_file
+from .io import FORMATS, atomic_write, emit_dataset, emit_plot_script, parse_config_file
 from .model import ModelParams, build_basis
 from .observables import atomic_energy, photon_number
 from .spectra import classify_regime, solve_rwa
@@ -55,48 +57,83 @@ class RunConfig:
 
     command: str
     params: ModelParams
-    n_max: int = 14
-    k_states: int = 7
-    lambda_min: float = 0.0
-    lambda_max: float = 1.2
-    steps: int = 121
-    fmt: str = "csv"
-    out_dir: Path = Path(".")
-    tol: float = DEFAULT_TOL
-    hermitian_dipole: bool = False
+    n_max: int
+    k_states: int
+    lambda_min: float
+    lambda_max: float
+    steps: int
+    fmt: str
+    out_dir: Path
+    tol: float
+    hermitian_dipole: bool
 
 
-_CONFIG_KEYS = (
-    "command",
-    "omega1",
-    "omega2",
-    "omega_c",
-    "lambda",
-    "lambda_min",
-    "lambda_max",
-    "steps",
-    "n_max",
-    "k_states",
-    "format",
-    "out",
-    "tol",
-    "hermitian_dipole",
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How a setting's value is read from text and written back as text."""
+
+    parse: Callable[[str], object]
+    expected: str
+    format: Callable[[object], str] = str
+
+
+_FLOAT = _Kind(float, "a number", repr)
+_INT = _Kind(int, "an integer")
+_TEXT = _Kind(str, "text")
+_PATH = _Kind(Path, "a path")
+_BOOL = _Kind(_parse_bool, "true/false", lambda value: "true" if value else "false")
+
+
+@dataclass(frozen=True)
+class _Setting:
+    """One setting: its config-file key, its flag (a bare name for the
+    positional argument), the RunConfig attribute it fills (``params.x``
+    for a ModelParams field), its kind, default and help text, and the
+    values it may take (any, when empty).  A callable default is evaluated
+    at parse time."""
+
+    key: str
+    flag: str
+    field: str
+    kind: _Kind
+    default: object
+    help: str
+    choices: tuple[str, ...] = ()
+
+
+#: Every CLI setting, in ``write_config`` order.
+SETTINGS = (
+    _Setting("command", "command", "command", _TEXT, None,
+             "what to run (may also come from the config file)", COMMANDS),
+    _Setting("omega1", "--omega1", "params.omega1", _FLOAT, 0.0, "energy of |g>"),
+    _Setting("omega2", "--omega2", "params.omega2", _FLOAT, 1.0, "energy of |e>"),
+    _Setting("omega_c", "--omega-c", "params.omega_c", _FLOAT, 1.0, "cavity frequency"),
+    _Setting("lambda", "--lambda", "params.lam", _FLOAT, 0.5,
+             "coupling strength for spectrum/absorption/converge"),
+    _Setting("lambda_min", "--lambda-min", "lambda_min", _FLOAT, 0.0, "sweep grid start"),
+    _Setting("lambda_max", "--lambda-max", "lambda_max", _FLOAT, 1.2, "sweep grid end"),
+    _Setting("steps", "--steps", "steps", _INT, 121, "sweep grid points"),
+    _Setting("n_max", "--n-max", "n_max", _INT, 14, "largest retained photon number"),
+    _Setting("k_states", "--k-states", "k_states", _INT, 7,
+             "states tracked per Hamiltonian"),
+    _Setting("format", "--format", "fmt", _TEXT, "csv", "dataset format", FORMATS),
+    _Setting("out", "--out", "out_dir", _PATH,
+             lambda: Path(os.environ.get(_ENV_OUT, ".")),
+             f"output directory (default ${_ENV_OUT} or .)"),
+    _Setting("tol", "--tol", "tol", _FLOAT, DEFAULT_TOL,
+             "eigensolver tolerance relative to the Frobenius norm"),
+    _Setting("hermitian_dipole", "--hermitian-dipole", "hermitian_dipole", _BOOL, False,
+             "use mu + mu^dag instead of mu = |e><g| for absorption intensities"),
 )
-
-_DEFAULTS = {
-    "omega1": 0.0,
-    "omega2": 1.0,
-    "omega_c": 1.0,
-    "lambda": 0.5,
-    "lambda_min": 0.0,
-    "lambda_max": 1.2,
-    "steps": 121,
-    "n_max": 14,
-    "k_states": 7,
-    "format": "csv",
-    "tol": DEFAULT_TOL,
-    "hermitian_dipole": False,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,68 +151,23 @@ def _build_parser() -> _Parser:
         "coupled to a single cavity mode, with and without the "
         "rotating-wave approximation.",
     )
-    parser.add_argument(
-        "command",
-        nargs="?",
-        default=None,
-        metavar="command",
-        help=f"one of {', '.join(COMMANDS)} (may also come from the config file)",
-    )
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="flat key=value config file")
-    parser.add_argument("--omega1", type=float, default=None,
-                        help="energy of |g> (default 0)")
-    parser.add_argument("--omega2", type=float, default=None,
-                        help="energy of |e> (default 1)")
-    parser.add_argument("--omega-c", type=float, default=None, dest="omega_c",
-                        help="cavity frequency (default 1)")
-    parser.add_argument("--lambda", type=float, default=None, dest="lam",
-                        help="coupling strength for spectrum/absorption/converge "
-                        "(default 0.5)")
-    parser.add_argument("--lambda-min", type=float, default=None,
-                        help="sweep grid start (default 0)")
-    parser.add_argument("--lambda-max", type=float, default=None,
-                        help="sweep grid end (default 1.2)")
-    parser.add_argument("--steps", type=int, default=None,
-                        help="sweep grid points (default 121)")
-    parser.add_argument("--n-max", type=int, default=None,
-                        help="largest retained photon number (default 14)")
-    parser.add_argument("--k-states", type=int, default=None,
-                        help="states tracked per Hamiltonian (default 7)")
-    parser.add_argument("--format", choices=FORMATS, default=None,
-                        help="dataset format (default csv)")
-    parser.add_argument("--out", default=None, metavar="DIR",
-                        help=f"output directory (default ${_ENV_OUT} or .)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="eigensolver tolerance relative to the Frobenius "
-                        "norm (default 1e-12)")
-    parser.add_argument("--hermitian-dipole", action="store_true", default=None,
-                        help="use mu + mu^dag instead of mu = |e><g| for "
-                        "absorption intensities")
+    for setting in SETTINGS:
+        help_text = setting.help
+        if setting.choices:
+            help_text += f"; one of {', '.join(setting.choices)}"
+        if setting.default is not None and not callable(setting.default):
+            help_text += f" (default {setting.kind.format(setting.default)})"
+        options = {"default": None, "help": help_text}
+        if not setting.flag.startswith("-"):
+            options.update(nargs="?", metavar=setting.key)
+        elif setting.kind is _BOOL:
+            options.update(action="store_true", dest=setting.key)
+        else:
+            options.update(type=setting.kind.parse, dest=setting.key)
+        parser.add_argument(setting.flag, **options)
     return parser
-
-
-def _convert(key: str, text: str):
-    """Interpret a raw config-file string for a known key."""
-    if key in ("omega1", "omega2", "omega_c", "lambda", "lambda_min",
-               "lambda_max", "tol"):
-        try:
-            return float(text)
-        except ValueError:
-            raise UsageError(f"config key {key}: expected a number, got {text!r}") from None
-    if key in ("steps", "n_max", "k_states"):
-        try:
-            return int(text)
-        except ValueError:
-            raise UsageError(f"config key {key}: expected an integer, got {text!r}") from None
-    if key == "hermitian_dipole":
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise UsageError(f"config key {key}: expected true/false, got {text!r}")
-    return text
 
 
 def parse_config(argv, config_file=None) -> RunConfig:
@@ -185,92 +177,51 @@ def parse_config(argv, config_file=None) -> RunConfig:
     malformed values, and missing/unknown commands raise UsageError;
     ModelParams invariant violations raise ValidationError.
     """
-    ns = _build_parser().parse_args(list(argv))
+    flags = vars(_build_parser().parse_args(list(argv)))
     entries: dict[str, object] = {}
-    cfg_path = config_file if config_file is not None else ns.config
+    cfg_path = config_file if config_file is not None else flags["config"]
     if cfg_path is not None:
+        kinds = {setting.key: setting.kind for setting in SETTINGS}
         for key, text in parse_config_file(cfg_path).items():
-            if key not in _CONFIG_KEYS:
+            if key not in kinds:
                 raise UsageError(f"unknown config key {key!r}")
-            entries[key] = _convert(key, text)
+            try:
+                entries[key] = kinds[key].parse(text)
+            except ValueError:
+                raise UsageError(
+                    f"config key {key}: expected {kinds[key].expected}, got {text!r}"
+                ) from None
 
-    def pick(flag_value, key):
-        if flag_value is not None:
-            return flag_value
-        if key in entries:
-            return entries[key]
-        return _DEFAULTS.get(key)
-
-    command = ns.command if ns.command is not None else entries.get("command")
-    if command is None:
-        raise UsageError(f"no command given; expected one of {', '.join(COMMANDS)}")
-    if command not in COMMANDS:
-        raise UsageError(
-            f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
-        )
-
-    fmt = pick(ns.format, "format")
-    if fmt not in FORMATS:
-        raise UsageError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-
-    out = ns.out if ns.out is not None else entries.get("out")
-    if out is None:
-        out = os.environ.get(_ENV_OUT, ".")
-
-    steps = pick(ns.steps, "steps")
-    n_max = pick(ns.n_max, "n_max")
-    k_states = pick(ns.k_states, "k_states")
-    tol = pick(ns.tol, "tol")
-    for name, value in (("steps", steps), ("n_max", n_max), ("k_states", k_states)):
-        if value != int(value):
-            raise UsageError(f"{name} must be an integer, got {value!r}")
-    if not tol > 0:
-        raise ValidationError(f"tol must be > 0, got {tol!r}")
-
-    params = ModelParams(
-        omega1=float(pick(ns.omega1, "omega1")),
-        omega2=float(pick(ns.omega2, "omega2")),
-        omega_c=float(pick(ns.omega_c, "omega_c")),
-        lam=float(pick(ns.lam, "lambda")),
-    )
-    return RunConfig(
-        command=command,
-        params=params,
-        n_max=int(n_max),
-        k_states=int(k_states),
-        lambda_min=float(pick(ns.lambda_min, "lambda_min")),
-        lambda_max=float(pick(ns.lambda_max, "lambda_max")),
-        steps=int(steps),
-        fmt=fmt,
-        out_dir=Path(out),
-        tol=float(tol),
-        hermitian_dipole=bool(pick(ns.hermitian_dipole, "hermitian_dipole")),
-    )
+    config_fields: dict[str, object] = {}
+    model_fields: dict[str, object] = {}
+    for setting in SETTINGS:
+        value = flags[setting.key]
+        if value is None:
+            value = entries.get(setting.key, setting.default)
+            if callable(value):
+                value = value()
+        choices = ", ".join(setting.choices)
+        if value is None:
+            raise UsageError(f"no {setting.key} given; expected one of {choices}")
+        if setting.choices and value not in setting.choices:
+            raise UsageError(f"unknown {setting.key} {value!r}; expected one of {choices}")
+        owner, _, name = setting.field.rpartition(".")
+        (model_fields if owner else config_fields)[name] = value
+    if not config_fields["tol"] > 0:
+        raise ValidationError(f"tol must be > 0, got {config_fields['tol']!r}")
+    return RunConfig(params=ModelParams(**model_fields), **config_fields)
 
 
 def write_config(config: RunConfig, path) -> Path:
     """Write a RunConfig as a flat key=value file that parse_config reads
     back to an equal RunConfig."""
-    lines = [
-        f"command={config.command}",
-        f"omega1={config.params.omega1!r}",
-        f"omega2={config.params.omega2!r}",
-        f"omega_c={config.params.omega_c!r}",
-        f"lambda={config.params.lam!r}",
-        f"lambda_min={config.lambda_min!r}",
-        f"lambda_max={config.lambda_max!r}",
-        f"steps={config.steps}",
-        f"n_max={config.n_max}",
-        f"k_states={config.k_states}",
-        f"format={config.fmt}",
-        f"out={config.out_dir}",
-        f"tol={config.tol!r}",
-        f"hermitian_dipole={'true' if config.hermitian_dipole else 'false'}",
-    ]
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    text = "".join(
+        f"{setting.key}={setting.kind.format(attrgetter(setting.field)(config))}\n"
+        for setting in SETTINGS
+    )
+    with atomic_write(path) as fh:
+        fh.write(text)
+    return Path(path)
 
 
 def _grid(config: RunConfig) -> SweepGrid:

@@ -120,14 +120,27 @@ def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
 
 
 def _jacobi(a: np.ndarray, tol: float, max_sweeps: int):
-    """Run cyclic Jacobi sweeps in place; return (diag, vectors, sweeps, off)."""
+    """Run cyclic Jacobi sweeps in place; return (diag, vectors, sweeps, off).
+
+    A matrix whose largest entry lies outside [2**-250, 2**250] is first
+    scaled by the power of two that brings that entry into [0.5, 1), and
+    ``diag`` and ``off`` are scaled back.  Otherwise the squares behind
+    ``tol * ||A||_F`` and the off-diagonal norm underflow to 0 for entries
+    below ~1e-154 (or overflow above ~1e154), and iteration stops before it
+    starts.  Other matrices are not scaled, so their results keep every bit,
+    subnormal entries included.
+    """
     n = a.shape[0]
     v = np.eye(n)
+    exponent = math.frexp(float(np.max(np.abs(a))))[1]
+    if abs(exponent) <= 250:
+        exponent = 0
+    np.ldexp(a, -exponent, out=a)
     threshold = tol * float(np.linalg.norm(a))
     off = _off_norm(a)
     for sweep in range(max_sweeps):
         if off <= threshold:
-            return np.diagonal(a).copy(), v, sweep, off
+            return np.ldexp(np.diagonal(a), exponent), v, sweep, math.ldexp(off, exponent)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -148,8 +161,9 @@ def _jacobi(a: np.ndarray, tol: float, max_sweeps: int):
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
         off = _off_norm(a)
+    off, threshold = math.ldexp(off, exponent), math.ldexp(threshold, exponent)
     if off <= threshold:
-        return np.diagonal(a).copy(), v, max_sweeps, off
+        return np.ldexp(np.diagonal(a), exponent), v, max_sweeps, off
     raise NonConvergence(
         f"off-diagonal residual {off:.3e} above threshold {threshold:.3e} "
         f"after {max_sweeps} sweeps",
@@ -211,12 +225,18 @@ def diagonalize(
     """Diagonalize a dense real symmetric matrix with cyclic Jacobi sweeps.
 
     ``tol`` is relative to the Frobenius norm: iteration stops once the
-    off-diagonal norm is at most ``tol * ||A||_F``.  Eigenvalues come back
-    ascending; exact degeneracies are ordered by parity tag (EVEN < ODD <
-    MIXED) and then by the row index of each eigenvector's largest-magnitude
-    component, which together with the positive-leading-component sign
-    convention makes the output deterministic.  Passing the ``basis`` the
-    matrix was built over enables the parity tags.
+    off-diagonal norm is at most ``tol * ||A||_F``.  That bounds the error of
+    each eigenvalue quadratically in the off-diagonal norm, but the error of
+    each eigenvector only linearly: eigenvectors are accurate to about
+    ``tol * ||A||_F / gap``, with gap the distance to the nearest other
+    eigenvalue.
+
+    Eigenvalues come back ascending; exact degeneracies are ordered by
+    parity tag (EVEN < ODD < MIXED) and then by the row index of each
+    eigenvector's largest-magnitude component, which together with the
+    positive-leading-component sign convention makes the output
+    deterministic.  Passing the ``basis`` the matrix was built over enables
+    the parity tags.
 
     Raises NonConvergence if the sweep budget is exhausted, ValidationError
     for non-square, non-finite, or asymmetric input, and BasisMismatch if the

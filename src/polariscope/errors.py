@@ -36,13 +36,5 @@ class BasisMismatch(ValueError):
     """Two state vectors do not live on the same truncated basis."""
 
 
-class AmbiguousTracking(RuntimeError):
-    """Best eigenvector overlap across a sweep step fell below 1/sqrt(2)."""
-
-    def __init__(self, message, overlap=None):
-        super().__init__(message)
-        self.overlap = overlap
-
-
 class SchemaMismatch(ValueError):
     """A dataset row does not match the declared column schema."""

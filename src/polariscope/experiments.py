@@ -10,8 +10,7 @@ two labelings: sorted (ascending energy at that grid point) and tracked
 their identity through crossings).  Tracked curve c starts as sorted index c
 at the first grid point.  The label is (parity, rank within parity) for the
 full model, whose parity chains have simple spectra for lam > 0, and
-(excitation block, branch) for the RWA; ``track_states`` follows states by
-eigenvector overlap instead and gives the same curves.
+(excitation block, branch) for the RWA.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguousTracking, ValidationError
+from .errors import ValidationError
 from .eigensolve import DEFAULT_TOL, EigenSystem, solve_rabi, solve_rabi_grid
 from .model import ModelParams, Parity, build_basis
 from .observables import NORM_TOL
@@ -31,16 +30,6 @@ from .spectra import (
     classify_regime,
     solve_rwa,
 )
-
-#: Minimum eigenvector overlap for an unambiguous tracking step.
-OVERLAP_MIN = 2.0**-0.5
-
-#: Rounding slack on the overlap threshold.  A degenerate pair that
-#: reorganizes into equal mixtures between grid points (e.g. the resonant
-#: polariton fork at lambda = 0) yields a best overlap of exactly 1/sqrt(2),
-#: which must not raise; float rounding can land it one ulp below.
-_OVERLAP_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -105,44 +94,26 @@ class SweepRow:
     atomic_energies_rwa_tracked: np.ndarray
 
 
-def track_states(previous: EigenSystem, current: EigenSystem) -> np.ndarray:
-    """Match current eigenstates to previous ones by eigenvector overlap.
+_MODELS = ("full", "rwa")
 
-    Returns an index permutation ``m`` with ``m[j]`` the previous-state index
-    that current state j continues: each current eigenvector is assigned
-    greedily (in index order) to the unassigned previous eigenvector of equal
-    parity tag maximizing ``|<v_prev, v_curr>|``.  Raises AmbiguousTracking
-    when the best available overlap falls below 1/sqrt(2), which signals a
-    grid too coarse to follow the curves; an overlap of exactly 1/sqrt(2)
-    (a degenerate pair forking into equal mixtures) is still assigned,
-    deterministically.
-    """
-    if previous.dim != current.dim:
-        raise ValidationError(
-            f"eigensystem dimensions differ: {previous.dim} vs {current.dim}"
-        )
-    dim = current.dim
-    overlap = np.abs(previous.eigenvectors.T @ current.eigenvectors)
-    if previous.parities is not None and current.parities is not None:
-        prev_rank = np.array([p.value for p in previous.parities])
-        cur_rank = np.array([p.value for p in current.parities])
-        allowed = prev_rank[:, None] == cur_rank[None, :]
-        overlap = np.where(allowed, overlap, -1.0)
-    taken = np.zeros(dim, dtype=bool)
-    mapping = np.empty(dim, dtype=int)
-    for j in range(dim):
-        column = np.where(taken, -1.0, overlap[:, j])
-        i = int(np.argmax(column))
-        best = float(column[i])
-        if best < OVERLAP_MIN - _OVERLAP_EPS:
-            raise AmbiguousTracking(
-                f"best overlap {best:.3f} for state {j} is below "
-                f"{OVERLAP_MIN:.3f}; refine the coupling grid",
-                overlap=best,
-            )
-        mapping[j] = i
-        taken[i] = True
-    return mapping
+#: Field-name suffixes of the per-state quantities: sorted and tracked.
+_LABELINGS = ("", "_tracked")
+
+#: Sweep-dataset columns: (dataset, column stem, SweepRow field stem,
+#: labelings, first index).  For each labeling and then each model, the
+#: dataset gets one column ``{stem}_{model}{labeling}_{i}`` per entry of
+#: field ``{field}_{model}{labeling}``, with i counting from the first
+#: index; a scalar field (first index None) gives the single column
+#: ``{stem}_{model}{labeling}``.  Every dataset starts with ``lambda``, and
+#: fig2 ends with ``regime``.
+_COLUMNS = (
+    ("fig2", "e", "energies", _LABELINGS, 0),
+    ("fig3", "nu", "nu", ("",), 1),
+    ("fig3", "peak", "nu_peaks", ("",), 1),
+    ("fig3", "delta_nu", "delta_nu", ("",), None),
+    ("fig4_left", "nbar", "photon_numbers", _LABELINGS, 0),
+    ("fig4_right", "eatom", "atomic_energies", _LABELINGS, 0),
+)
 
 
 def _observable_arrays(eig: EigenSystem, params: ModelParams):
@@ -245,35 +216,26 @@ def _make_row(
     curves_rwa: np.ndarray,
     k: int,
 ) -> SweepRow:
-    nbar_full, eatom_full = _observable_arrays(eig_full, params)
-    nbar_rwa, eatom_rwa = _observable_arrays(eig_rwa, params)
-    pos_full = _curve_positions(eig_full.labels)[curves_full]
-    pos_rwa = _curve_positions(eig_rwa.labels)[curves_rwa]
-    nu_full = eig_full.eigenvalues[1 : k + 1] - eig_full.eigenvalues[0]
-    nu_rwa = eig_rwa.eigenvalues[1 : k + 1] - eig_rwa.eigenvalues[0]
-    peaks_full = _full_peaks(eig_full)
-    peaks_rwa = _rwa_peaks(eig_rwa)
+    fields = {}
+    for model, eig, curves, peaks in (
+        ("full", eig_full, curves_full, _full_peaks(eig_full)),
+        ("rwa", eig_rwa, curves_rwa, _rwa_peaks(eig_rwa)),
+    ):
+        nbar, eatom = _observable_arrays(eig, params)
+        per_state = {
+            "energies": eig.eigenvalues,
+            "photon_numbers": nbar,
+            "atomic_energies": eatom,
+        }
+        pos = _curve_positions(eig.labels)[curves]
+        for field, values in per_state.items():
+            for labeling, index in zip(_LABELINGS, (slice(k), pos)):
+                fields[f"{field}_{model}{labeling}"] = _frozen(values[index])
+        fields[f"nu_{model}"] = _frozen(eig.eigenvalues[1 : k + 1] - eig.eigenvalues[0])
+        fields[f"nu_peaks_{model}"] = _frozen(peaks)
+        fields[f"delta_nu_{model}"] = float(peaks[1] - peaks[0])
     return SweepRow(
-        lam=params.lam,
-        regime=classify_regime(params.lam, params.omega_c),
-        energies_full=_frozen(eig_full.eigenvalues[:k]),
-        energies_rwa=_frozen(eig_rwa.eigenvalues[:k]),
-        photon_numbers_full=_frozen(nbar_full[:k]),
-        photon_numbers_rwa=_frozen(nbar_rwa[:k]),
-        atomic_energies_full=_frozen(eatom_full[:k]),
-        atomic_energies_rwa=_frozen(eatom_rwa[:k]),
-        nu_full=_frozen(nu_full),
-        nu_rwa=_frozen(nu_rwa),
-        nu_peaks_full=_frozen(peaks_full),
-        nu_peaks_rwa=_frozen(peaks_rwa),
-        delta_nu_full=float(peaks_full[1] - peaks_full[0]),
-        delta_nu_rwa=float(peaks_rwa[1] - peaks_rwa[0]),
-        energies_full_tracked=_frozen(eig_full.eigenvalues[pos_full]),
-        energies_rwa_tracked=_frozen(eig_rwa.eigenvalues[pos_rwa]),
-        photon_numbers_full_tracked=_frozen(nbar_full[pos_full]),
-        photon_numbers_rwa_tracked=_frozen(nbar_rwa[pos_rwa]),
-        atomic_energies_full_tracked=_frozen(eatom_full[pos_full]),
-        atomic_energies_rwa_tracked=_frozen(eatom_rwa[pos_rwa]),
+        lam=params.lam, regime=classify_regime(params.lam, params.omega_c), **fields
     )
 
 
@@ -337,10 +299,6 @@ class Dataset:
     rows: tuple[tuple, ...]
 
 
-def _indexed(prefix: str, k: int, start: int = 0) -> list[str]:
-    return [f"{prefix}_{i}" for i in range(start, start + k)]
-
-
 def sweep_datasets(
     grid: SweepGrid,
     n_max: int = 14,
@@ -355,93 +313,36 @@ def sweep_datasets(
     fig4_left / fig4_right: photon number / atomic energy per state.
     """
     rows = run_sweep(grid, n_max, k_states, tol=tol)
-    k = k_states
-
-    fig2_cols = (
-        ["lambda"]
-        + _indexed("e_full", k)
-        + _indexed("e_rwa", k)
-        + _indexed("e_full_tracked", k)
-        + _indexed("e_rwa_tracked", k)
-        + ["regime"]
-    )
-    fig2_rows = [
-        (
-            row.lam,
-            *row.energies_full,
-            *row.energies_rwa,
-            *row.energies_full_tracked,
-            *row.energies_rwa_tracked,
-            row.regime,
+    specs: dict[str, list] = {}
+    for name, stem, field, labelings, first in _COLUMNS:
+        specs.setdefault(name, []).extend(
+            (f"{stem}_{model}{labeling}", f"{field}_{model}{labeling}", first)
+            for labeling in labelings
+            for model in _MODELS
         )
-        for row in rows
-    ]
+    specs["fig2"].append(("regime", "regime", None))
+    datasets = {}
+    for name, spec in specs.items():
+        columns = ["lambda"]
+        for stem, field, first in spec:
+            if first is None:
+                columns.append(stem)
+            else:
+                size = len(getattr(rows[0], field))
+                columns += [f"{stem}_{i}" for i in range(first, first + size)]
+        table = tuple((row.lam, *_cells(row, spec)) for row in rows)
+        datasets[name] = Dataset(name=name, columns=tuple(columns), rows=table)
+    return datasets
 
-    fig3_cols = (
-        ["lambda"]
-        + _indexed("nu_full", k, start=1)
-        + _indexed("nu_rwa", k, start=1)
-        + ["peak_full_1", "peak_full_2", "peak_rwa_1", "peak_rwa_2"]
-        + ["delta_nu_full", "delta_nu_rwa"]
-    )
-    fig3_rows = [
-        (
-            row.lam,
-            *row.nu_full,
-            *row.nu_rwa,
-            *row.nu_peaks_full,
-            *row.nu_peaks_rwa,
-            row.delta_nu_full,
-            row.delta_nu_rwa,
-        )
-        for row in rows
-    ]
 
-    fig4_left_cols = (
-        ["lambda"]
-        + _indexed("nbar_full", k)
-        + _indexed("nbar_rwa", k)
-        + _indexed("nbar_full_tracked", k)
-        + _indexed("nbar_rwa_tracked", k)
-    )
-    fig4_left_rows = [
-        (
-            row.lam,
-            *row.photon_numbers_full,
-            *row.photon_numbers_rwa,
-            *row.photon_numbers_full_tracked,
-            *row.photon_numbers_rwa_tracked,
-        )
-        for row in rows
-    ]
-
-    fig4_right_cols = (
-        ["lambda"]
-        + _indexed("eatom_full", k)
-        + _indexed("eatom_rwa", k)
-        + _indexed("eatom_full_tracked", k)
-        + _indexed("eatom_rwa_tracked", k)
-    )
-    fig4_right_rows = [
-        (
-            row.lam,
-            *row.atomic_energies_full,
-            *row.atomic_energies_rwa,
-            *row.atomic_energies_full_tracked,
-            *row.atomic_energies_rwa_tracked,
-        )
-        for row in rows
-    ]
-
-    def _dataset(name, cols, data_rows):
-        return Dataset(name=name, columns=tuple(cols), rows=tuple(map(tuple, data_rows)))
-
-    return {
-        "fig2": _dataset("fig2", fig2_cols, fig2_rows),
-        "fig3": _dataset("fig3", fig3_cols, fig3_rows),
-        "fig4_left": _dataset("fig4_left", fig4_left_cols, fig4_left_rows),
-        "fig4_right": _dataset("fig4_right", fig4_right_cols, fig4_right_rows),
-    }
+def _cells(row: SweepRow, spec):
+    """The values of ``row`` under ``spec``'s columns, in column order."""
+    for _, field, first in spec:
+        value = getattr(row, field)
+        if first is None:
+            yield value
+        else:
+            yield from value
 
 
 def absorption_dataset(

@@ -16,6 +16,7 @@ import csv
 import json
 import numbers
 import os
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
 
@@ -24,6 +25,26 @@ import numpy as np
 from .errors import SchemaMismatch, UsageError
 
 FORMATS = ("csv", "json")
+
+
+@contextmanager
+def atomic_write(path):
+    """Open a text file that replaces ``path`` only once it is fully written.
+
+    The text goes to a temporary file in the target directory, which
+    ``os.replace`` moves over ``path`` when the block ends without error.  If
+    anything raises, the temporary file is removed and ``path`` keeps what
+    it held before.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def format_value(value) -> str:
@@ -78,7 +99,7 @@ def emit_dataset(rows, schema, fmt: str = "csv", path=None) -> Path:
             )
         materialized.append(row)
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(schema)
@@ -300,6 +321,6 @@ def emit_plot_script(data_path, figure_id: str, path=None) -> Path:
         "OUT = os.path.join(HERE, {png!r})\n"
     ).format(fig=figure_id, data=data_path.name, png=out_png)
     script = header + "\n" + _LOADER + "\n\n" + _FIGURE_BODIES[figure_id]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write(script)
     return path

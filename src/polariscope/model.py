@@ -99,42 +99,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class BasisState:
-    """Product state |atom, n> of the emitter and the cavity mode."""
-
-    atom: Atom
-    photons: int
-
-    def __post_init__(self) -> None:
-        if self.photons != int(self.photons) or self.photons < 0:
-            raise ValidationError(
-                f"photon number must be a non-negative integer, got {self.photons!r}"
-            )
-
-    @property
-    def excitation_count(self) -> int:
-        """Total number of excitations, n + (1 if the atom is excited)."""
-        return int(self.photons) + (1 if self.atom is Atom.E else 0)
-
-    @property
-    def parity(self) -> Parity:
-        return Parity.EVEN if self.excitation_count % 2 == 0 else Parity.ODD
-
-    def __str__(self) -> str:
-        return f"|{self.atom},{self.photons}>"
-
-
-def excitation_count(state: BasisState) -> int:
-    """Total excitation number n + [atom == E] of a basis state."""
-    return state.excitation_count
-
-
-def parity(state: BasisState) -> Parity:
-    """Even/odd label of the excitation count of a basis state."""
-    return state.parity
-
-
-@dataclass(frozen=True)
 class FockBasis:
     """Canonically ordered truncated product basis.
 
@@ -143,7 +107,6 @@ class FockBasis:
     """
 
     n_max: int
-    states: tuple[BasisState, ...]
 
     @property
     def dim(self) -> int:
@@ -151,23 +114,24 @@ class FockBasis:
 
     def index(self, atom: Atom, photons: int) -> int:
         """Position of |atom, photons> in the canonical ordering."""
-        if not 0 <= photons <= self.n_max:
+        if photons != int(photons) or not 0 <= photons <= self.n_max:
             raise ValidationError(
-                f"photon number {photons} outside truncation 0..{self.n_max}"
+                f"photon number must be an integer in 0..{self.n_max}, got {photons!r}"
             )
         return 2 * photons + (1 if atom is Atom.E else 0)
 
     @cached_property
     def photon_numbers(self) -> np.ndarray:
         """Photon number of each basis state, in canonical order."""
-        arr = np.array([state.photons for state in self.states], dtype=float)
+        arr = (np.arange(self.dim) // 2).astype(float)
         arr.setflags(write=False)
         return arr
 
     @cached_property
     def excitations(self) -> np.ndarray:
         """Excitation count of each basis state, in canonical order."""
-        arr = np.array([state.excitation_count for state in self.states])
+        index = np.arange(self.dim)
+        arr = index // 2 + index % 2
         arr.setflags(write=False)
         return arr
 
@@ -194,12 +158,6 @@ class FockBasis:
     def __len__(self) -> int:
         return self.dim
 
-    def __iter__(self):
-        return iter(self.states)
-
-    def __getitem__(self, i: int) -> BasisState:
-        return self.states[i]
-
 
 def build_basis(n_max: int) -> FockBasis:
     """Canonical interleaved basis with photon numbers 0..n_max."""
@@ -207,11 +165,7 @@ def build_basis(n_max: int) -> FockBasis:
         raise ValidationError(
             f"n_max must be a non-negative integer, got {n_max!r}"
         )
-    n_max = int(n_max)
-    states = tuple(
-        BasisState(atom, n) for n in range(n_max + 1) for atom in (Atom.G, Atom.E)
-    )
-    return FockBasis(n_max=n_max, states=states)
+    return FockBasis(n_max=int(n_max))
 
 
 def _annihilation(n_max: int) -> np.ndarray:

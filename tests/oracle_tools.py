@@ -1,15 +1,28 @@
 """Independent reference routes used by the tests.
 
-Everything here deliberately avoids the library's own Jacobi solver so that
+Everything here deliberately avoids the library's own solvers so that
 numerical assertions compare two unrelated computations: eigenvalue counts
-come from LDL^T inertia (scipy), bracketing from Gershgorin discs, and the
-extremal eigenvalue from plain bisection on the count function.
+come from LDL^T inertia (scipy), bracketing from Gershgorin discs, the
+extremal eigenvalue from plain bisection on the count function, and state
+tracking across a sweep from eigenvector overlaps instead of the symmetry
+labels the library tracks by.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+
+from polariscope import EigenSystem, ValidationError
+
+#: Minimum eigenvector overlap for an unambiguous tracking step.
+OVERLAP_MIN = 2.0**-0.5
+
+#: Rounding slack on the overlap threshold.  A degenerate pair that
+#: reorganizes into equal mixtures between grid points (e.g. the resonant
+#: polariton fork at lambda = 0) yields a best overlap of exactly 1/sqrt(2),
+#: which must not raise; float rounding can land it one ulp below.
+_OVERLAP_EPS = 1e-9
 
 
 def gershgorin_bounds(matrix: np.ndarray) -> tuple[float, float]:
@@ -63,3 +76,51 @@ def smallest_eigenvalue(matrix: np.ndarray, *, steps: int = 200) -> float:
 def reference_spectrum(matrix: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues from LAPACK, for cross-checking multisets."""
     return np.linalg.eigvalsh(matrix)
+
+
+class AmbiguousTracking(RuntimeError):
+    """Best eigenvector overlap across a sweep step fell below 1/sqrt(2)."""
+
+    def __init__(self, message, overlap=None):
+        super().__init__(message)
+        self.overlap = overlap
+
+
+def track_states(previous: EigenSystem, current: EigenSystem) -> np.ndarray:
+    """Match current eigenstates to previous ones by eigenvector overlap.
+
+    Returns an index permutation ``m`` with ``m[j]`` the previous-state index
+    that current state j continues: each current eigenvector is assigned
+    greedily (in index order) to the unassigned previous eigenvector of equal
+    parity tag maximizing ``|<v_prev, v_curr>|``.  Raises AmbiguousTracking
+    when the best available overlap falls below 1/sqrt(2), which signals a
+    grid too coarse to follow the curves; an overlap of exactly 1/sqrt(2)
+    (a degenerate pair forking into equal mixtures) is still assigned,
+    deterministically.
+    """
+    if previous.dim != current.dim:
+        raise ValidationError(
+            f"eigensystem dimensions differ: {previous.dim} vs {current.dim}"
+        )
+    dim = current.dim
+    overlap = np.abs(previous.eigenvectors.T @ current.eigenvectors)
+    if previous.parities is not None and current.parities is not None:
+        prev_rank = np.array([p.value for p in previous.parities])
+        cur_rank = np.array([p.value for p in current.parities])
+        allowed = prev_rank[:, None] == cur_rank[None, :]
+        overlap = np.where(allowed, overlap, -1.0)
+    taken = np.zeros(dim, dtype=bool)
+    mapping = np.empty(dim, dtype=int)
+    for j in range(dim):
+        column = np.where(taken, -1.0, overlap[:, j])
+        i = int(np.argmax(column))
+        best = float(column[i])
+        if best < OVERLAP_MIN - _OVERLAP_EPS:
+            raise AmbiguousTracking(
+                f"best overlap {best:.3f} for state {j} is below "
+                f"{OVERLAP_MIN:.3f}; refine the coupling grid",
+                overlap=best,
+            )
+        mapping[j] = i
+        taken[i] = True
+    return mapping

