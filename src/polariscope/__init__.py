@@ -31,12 +31,7 @@ from .model import (
     build_rwa_hamiltonian,
     parity_blocks,
 )
-from .eigensolve import (
-    EigenSystem,
-    diagonalize,
-    solve_rabi,
-    solve_rabi_grid,
-)
+from .eigensolve import EigenSystem, diagonalize
 from .observables import (
     EnergyPartition,
     atomic_energy,
@@ -55,6 +50,8 @@ from .spectra import (
     rwa_analytic_levels,
     rwa_ground_energy,
     rwa_splitting,
+    solve_rabi,
+    solve_rabi_grid,
     solve_rwa,
     transition_frequencies,
 )

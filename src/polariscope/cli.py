@@ -29,7 +29,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import NonConvergence, UsageError, ValidationError
-from .eigensolve import DEFAULT_TOL, solve_rabi
+from .eigensolve import DEFAULT_TOL
 from .experiments import (
     Dataset,
     SweepGrid,
@@ -40,7 +40,7 @@ from .experiments import (
 from .io import FORMATS, atomic_write, emit_dataset, emit_plot_script, parse_config_file
 from .model import ModelParams, build_basis
 from .observables import atomic_energy, photon_number
-from .spectra import classify_regime, solve_rwa
+from .spectra import classify_regime, solve_rabi, solve_rwa
 
 COMMANDS = ("spectrum", "sweep", "observables", "absorption", "converge", "regimes")
 

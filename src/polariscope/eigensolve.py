@@ -1,22 +1,17 @@
-"""Eigensolvers: structured solvers for the two model Hamiltonians and a
-dense Jacobi solver for any real symmetric matrix.
+"""Eigensolvers: a dense Jacobi solver for any real symmetric matrix, and
+batched kernels for symmetric tridiagonal chains, which the structured
+solvers of the two model Hamiltonians (``spectra.solve_rabi_grid``,
+``spectra.solve_rwa``) are built from.
 
-The model paths never diagonalize a dense matrix.  Each parity sector of the
-full (Rabi) Hamiltonian is a symmetric tridiagonal chain (Braak, PRL 107,
-100401 (2011)),
-
-    even: |g,0>, |e,1>, |g,2>, ...      odd: |e,0>, |g,1>, |e,2>, ...
-
-with diagonal w_c (j + 1/2) plus the atom energy and off-diagonal
-lam*sqrt(j+1).  ``solve_rabi`` finds each chain's eigenvalues by Sturm-count
-bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)) and its
-eigenvectors by inverse iteration, so parity is known by construction;
-``solve_rabi_grid`` bisects a whole coupling grid at once and builds the
-eigenvectors one grid point at a time.  ``spectra.solve_rwa`` treats the 2x2
-excitation blocks of the rotating-wave Hamiltonian as chains of length 2,
-solved in closed form with the rotation Jacobi would apply.  Both return the
-``EigenSystem`` that ``diagonalize`` returns, with the same ordering and sign
-conventions.
+The chain kernels work on arrays over a chunk of grid points at once:
+Sturm-count bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967))
+for the lowest K eigenvalues of each chain, inverse iteration for their
+eigenvectors, then each point's worst residual and the sign convention of
+``diagonalize``.  Every point keeps its own spectral radius, so a point's
+bits do not depend on the chunk it is solved in, nor on K.
+``_point_system`` turns one point of complete chains into the
+``EigenSystem`` that ``diagonalize`` returns, with the same ordering and
+sign conventions.
 
 ``diagonalize`` is a cyclic Jacobi method (row-sweep order): each sweep
 visits every strict upper-triangle pair (p, q) and applies a two-sided
@@ -31,13 +26,12 @@ structured solvers.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BasisMismatch, NonConvergence, ValidationError
-from .model import FockBasis, ModelParams, Parity, bare_energies
+from .model import FockBasis, Parity
 
 #: Default convergence tolerance, relative to the Frobenius norm.
 DEFAULT_TOL = 1e-12
@@ -266,24 +260,26 @@ def _radius(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     )
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """All eigenvalues of symmetric tridiagonal chains, ascending, by bisection.
+def _bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
+    """The lowest ``levels`` eigenvalues of symmetric tridiagonal chains,
+    ascending, by bisection.
 
     ``diag`` (..., m) and ``off`` (..., m-1) broadcast against each other.
     Each eigenvalue's bracket is halved until it spans at most two ulps of
     its chain's spectral radius; a bracket stops moving once it is that
-    narrow, so a chain's result does not depend on what else is batched with
-    it.  The count of eigenvalues below a shift x is the number of negative
-    pivots of the LDL^T factorization of T - x (Sturm count).  A zero or tiny
-    pivot makes the next pivot -inf, which counts it as an infinitesimal
-    positive one; ``off2`` is kept positive so that no 0/0 arises.
+    narrow, so an eigenvalue does not depend on what else is batched with
+    it, nor on how many levels are asked for.  The count of eigenvalues
+    below a shift x is the number of negative pivots of the LDL^T
+    factorization of T - x (Sturm count).  A zero or tiny pivot makes the
+    next pivot -inf, which counts it as an infinitesimal positive one;
+    ``off2`` is kept positive so that no 0/0 arises.
     """
     radius = _radius(diag, off)
     bound = 2.0 * _EPS * radius + _TINY
-    hi = radius + np.zeros(diag.shape[-1])
+    hi = radius + np.zeros(levels)
     lo = -hi
     off2 = off * off + _TINY
-    index = np.arange(diag.shape[-1])
+    index = np.arange(levels)
     with np.errstate(divide="ignore", over="ignore"):
         while (active := hi - lo > bound).any():
             mid = 0.5 * (lo + hi)
@@ -300,134 +296,116 @@ def _bisect(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of chains (c, m) with nonzero off-diagonals (c, m-1).
+    """Unit eigenvectors of chains (c, m) over a chunk of grid points.
 
-    ``values`` (c, m) are each chain's eigenvalues, ascending; the result is
-    (c, m, m) with ``[s, :, k]`` the eigenvector of ``values[s, k]``.  All
-    shifts run at once: T - value = L D L^T is factored once (pivots below
-    eps times the spectral radius of all chains are raised to it), then each
-    step solves with it and normalizes.  Eigenvalues closer than
-    ``_CLUSTER_GAP`` of that radius are Gram-Schmidt orthogonalized against
-    their cluster after every step, as in LAPACK's dstein, which also
-    separates exact ties.
+    ``off`` (p, c, m-1) holds each point's nonzero off-diagonals and
+    ``values`` (p, c, K) the lowest K eigenvalues of each chain, ascending;
+    the result is (m, p, c, K) with ``[:, i, s, k]`` the eigenvector of
+    ``values[i, s, k]``.  All shifts run at once: T - value = L D L^T is
+    factored once (pivots below eps times the point's spectral radius are
+    raised to it), then each step solves with it and normalizes.
+    Eigenvalues closer than ``_CLUSTER_GAP`` of that radius are
+    Gram-Schmidt orthogonalized against the lower members of their cluster
+    after every step, as in LAPACK's dstein, which also separates exact
+    ties.  Every operation acts on one point and one eigenvector at a time,
+    so a column's bits depend neither on the chunk nor on K.  Iterates that
+    overflow leave non-finite vectors, which the residual check rejects.
     """
-    chains, m = diag.shape
-    radius = float(np.max(_radius(diag, off)))
-    # row-major working layout: [row i, chain, eigenvalue k]
-    piv = diag.T[:, :, None] - values
-    off = off.T[:, :, None]
+    m = diag.shape[-1]
+    radius = np.max(_radius(diag, off), axis=1, keepdims=True)
+    floor = _EPS * radius
+    # row-major working layout: [row i, point, chain, eigenvalue k]
+    piv = diag.T[:, None, :, None] - values
+    off = off.transpose(2, 0, 1)[..., None]
     for i in range(m):
-        piv[i][np.abs(piv[i]) < _EPS * radius] = _EPS * radius
+        piv[i] = np.where(np.abs(piv[i]) < floor, floor, piv[i])
         if i < m - 1:
             piv[i + 1] -= off[i] ** 2 / piv[i]
     mult = off / piv[:-1]
-    close = values[:, 1:] - values[:, :-1] <= _CLUSTER_GAP * radius
-    clusters = list(zip(*np.nonzero(close))) if close.any() else []
+    close = values[..., 1:] - values[..., :-1] <= _CLUSTER_GAP * radius
     # Generic, distinct start vectors per eigenvalue (multiplicative hashing
     # of the position), so that tied shifts still produce independent
     # iterates for the cluster orthogonalization.
-    key = np.arange(m)[:, None, None] * 7919 + np.arange(m) * 104729 + 1
-    v = (key * 2654435761 % 2**32) / 2.0**32 - 0.5 + np.zeros((chains, 1))
-    for _ in range(INVERSE_STEPS):
-        for i in range(1, m):
-            v[i] -= mult[i - 1] * v[i - 1]
-        v /= piv
-        for i in range(m - 2, -1, -1):
-            v[i] -= mult[i] * v[i + 1]
-        v /= np.sqrt(np.sum(v * v, axis=0))
-        for s, k in clusters:
-            first = k
-            while first > 0 and close[s, first - 1]:
-                first -= 1
-            cluster = v[:, s, first : k + 1]
-            w = v[:, s, k + 1]
-            for _ in range(2):
-                w -= cluster @ (cluster.T @ w)
-            w /= math.sqrt(w @ w)
-    return v.transpose(1, 0, 2)
+    key = np.arange(m)[:, None, None, None] * 7919 + np.arange(values.shape[-1]) * 104729 + 1
+    v = (key * 2654435761 % 2**32) / 2.0**32 - 0.5 + np.zeros((*values.shape[:2], 1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(INVERSE_STEPS):
+            for i in range(1, m):
+                v[i] -= mult[i - 1] * v[i - 1]
+            v /= piv
+            for i in range(m - 2, -1, -1):
+                v[i] -= mult[i] * v[i + 1]
+            v /= np.sqrt(np.sum(v * v, axis=0))
+            for point, s, k in zip(*np.nonzero(close)):
+                first = k
+                while first > 0 and close[point, s, first - 1]:
+                    first -= 1
+                # contiguous copies round alike whatever the chunk's layout
+                cluster = v[:, point, s, first : k + 1].copy()
+                w = v[:, point, s, k + 1].copy()
+                for _ in range(2):
+                    w -= cluster @ (cluster.T @ w)
+                v[:, point, s, k + 1] = w / math.sqrt(w @ w)
+    return v
 
 
-def _chain_system(basis, rows, labels, tol, lam, sweeps, diag, off, values, v):
-    """EigenSystem from the eigenpairs of chains (c, m) of basis states ``rows``.
+class _Chains:
+    """Eigenpairs of the chains (c, L) of basis states ``rows`` at each
+    point of a chunk of the coupling grid, from the eigenvalues ``values``
+    (p, c, K), ascending along each chain, and unit eigenvectors ``v``
+    (L, p, c, K) of chains with diagonal ``diag`` (c, L) and off-diagonals
+    ``off`` (p, c, L-1).
 
-    ``diag`` and ``off`` are the chains, and ``values`` (c, m) and ``v``
-    (c, m, m) their eigenpairs as from ``_inverse_iteration``.  Checks the
-    worst eigenpair residual against ``tol``, applies the conventions of
-    ``diagonalize`` on the chain vectors (each column's parity is that of its
-    largest component), and writes each vector once, into its sorted column.
+    ``vectors`` are ``v`` with each column's largest component made
+    positive, and ``dominant`` (p, c, K) is that component's basis index.
+    ``labels`` (c, K) names each chain column (see ``EigenSystem``).
+    ``residual`` (p,) is each point's worst eigenpair residual
+    ``||Hv - Ev||`` and ``threshold`` (p,) its ``tol * ||H||_F``.
     """
-    r = (diag[:, :, None] - values[:, None, :]) * v
-    r[:, 1:] += off[:, :, None] * v[:, :-1]
-    r[:, :-1] += off[:, :, None] * v[:, 1:]
-    residual = float(np.sqrt(np.max(np.sum(r * r, axis=1))))
-    threshold = tol * math.sqrt(float(np.sum(diag * diag) + 2.0 * np.sum(off * off)))
-    if not residual <= threshold:
+
+    def __init__(self, rows, labels, tol, diag, off, values, v):
+        offs = off.transpose(2, 0, 1)[..., None]
+        r = (diag.T[:, None, :, None] - values) * v
+        r[1:] += offs * v[:-1]
+        r[:-1] += offs * v[1:]
+        squares = np.sum(diag * diag) + 2.0 * np.sum((off * off).reshape(len(off), -1), axis=1)
+        top = np.argmax(np.abs(v), axis=0)
+        point = np.arange(len(off))[:, None, None]
+        chain = np.arange(len(diag))[:, None]
+        lead = v[top, point, chain, np.arange(values.shape[-1])]
+        self.rows, self.labels, self.values = rows, labels, values
+        self.vectors = v * np.where(lead < 0.0, -1.0, 1.0)
+        self.dominant = rows[chain, top]
+        self.residual = np.sqrt(np.max(np.sum(r * r, axis=0), axis=(1, 2)))
+        self.threshold = tol * np.sqrt(squares)
+
+
+def _check_residuals(lams: np.ndarray, *models: _Chains) -> None:
+    """Raise NonConvergence at the first point of ``lams``, in grid order
+    and then in argument order, where a model's residual exceeds its
+    threshold."""
+    failed = np.stack([~(chains.residual <= chains.threshold) for chains in models], axis=1)
+    if failed.any():
+        point, model = divmod(int(np.argmax(failed)), len(models))
+        residual, threshold = models[model].residual[point], models[model].threshold[point]
         message = f"eigenvector residual {residual:.3e} above threshold {threshold:.3e}"
-        raise NonConvergence(message, residual=residual, lam=lam)
-    chain = np.arange(rows.shape[0])[:, None]
-    top = np.argmax(np.abs(v), axis=1)
-    v = v * np.where(v[chain, top, np.arange(rows.shape[1])] < 0.0, -1.0, 1.0)[:, None, :]
-    dominant = rows[chain, top].ravel()
-    parities = tuple(
-        Parity.EVEN if sign > 0 else Parity.ODD for sign in basis.parity_signs[dominant]
-    )
+        raise NonConvergence(message, residual=float(residual), lam=float(lams[point]))
+
+
+def _point_system(basis: FockBasis, chains: _Chains, point: int, sweeps: int) -> EigenSystem:
+    """The EigenSystem of one point of chains that hold every eigenpair,
+    each vector written once, into its sorted column."""
+    rows, dominant = chains.rows, chains.dominant[point].ravel()
+    v = chains.vectors[:, point].transpose(1, 0, 2)
+    parities = [Parity.EVEN if s > 0 else Parity.ODD for s in basis.parity_signs[dominant]]
 
     def place(order):
         column = np.empty(order.size, dtype=int)
         column[order] = np.arange(order.size)
         vectors = np.zeros((basis.dim, basis.dim))
-        vectors[rows[:, :, None], column.reshape(rows.shape)[:, None, :]] = v
+        vectors[rows[:, :, None], column.reshape(rows.shape)[:, None]] = v
         return vectors
 
-    return _sorted_system(values.ravel(), dominant, parities, place, sweeps, residual, labels)
-
-
-def solve_rabi_grid(
-    params: ModelParams, lams, basis: FockBasis, *, tol: float = DEFAULT_TOL
-) -> Iterator[EigenSystem]:
-    """Eigensystems of the full Hamiltonian at each coupling of ``lams``.
-
-    The ``lam`` field of ``params`` is ignored.  Eigenvalues for the whole
-    grid come from one batched bisection when iteration starts; each
-    point's eigenvectors are computed when the iterator reaches it, so only
-    one point's eigenvectors are held at a time, and each point's result is
-    the same as from a single-point call.
-
-    At lam = 0 the chains are diagonal and each eigenvector is a basis
-    state; a tie within a chain is ranked as a small coupling splits it at
-    resonance, the state with more photons lower.
-
-    ``tol`` keeps its Jacobi meaning as a bound relative to ``||H||_F``: a
-    point whose worst eigenpair residual ``||Hv - Ev||`` exceeds
-    ``tol * ||H||_F`` raises NonConvergence with its coupling attached.
-    """
-    _check_tol(tol)
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 1 or not np.all(np.isfinite(lams) & (lams >= 0)):
-        raise ValidationError("couplings must be a 1-D array of finite values >= 0")
-    m = basis.n_max + 1
-    rows = basis.parity_chains
-    diag = bare_energies(params, basis)[rows]
-    root = np.sqrt(np.arange(1.0, m))
-    values = _bisect(diag, lams[:, None, None] * root)
-    labels = (2 * np.arange(m) + np.arange(2)[:, None]).ravel()
-    for lam, lam_values in zip(lams, values):
-        off = lam * np.broadcast_to(root, (2, m - 1))
-        if lam == 0.0:
-            # diagonal chains: exact energies, basis-state eigenvectors
-            order = np.stack([np.lexsort((-np.arange(m), chain)) for chain in diag])
-            lam_values = diag[[[0], [1]], order]
-            v = np.eye(m)[:, order].transpose(1, 0, 2)
-        else:
-            v = _inverse_iteration(diag, off, lam_values)
-        yield _chain_system(
-            basis, rows, labels, tol, float(lam), INVERSE_STEPS, diag, off, lam_values, v
-        )
-
-
-def solve_rabi(
-    params: ModelParams, basis: FockBasis, *, tol: float = DEFAULT_TOL
-) -> EigenSystem:
-    """Eigensystem of ``build_rabi_hamiltonian(params, basis)`` from its two
-    parity chains, without forming the matrix.  See ``solve_rabi_grid``."""
-    return next(solve_rabi_grid(params, [params.lam], basis, tol=tol))
+    values, labels = chains.values[point].ravel(), chains.labels.ravel()
+    residual = float(chains.residual[point])
+    return _sorted_system(values, dominant, parities, place, sweeps, residual, labels)

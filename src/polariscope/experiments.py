@@ -20,14 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .eigensolve import DEFAULT_TOL, EigenSystem, solve_rabi, solve_rabi_grid
-from .model import ModelParams, Parity, build_basis
-from .observables import NORM_TOL
+from .eigensolve import DEFAULT_TOL, _check_residuals, _check_tol
+from .model import ModelParams, build_basis
+from .observables import _observable_arrays
 from .spectra import (
     DEFAULT_LINE_THRESHOLD,
     Regime,
+    _rabi_chunks,
+    _rwa_chains,
     absorption_lines,
     classify_regime,
+    solve_rabi,
     solve_rwa,
 )
 
@@ -116,50 +119,70 @@ _COLUMNS = (
 )
 
 
-def _observable_arrays(eig: EigenSystem, params: ModelParams):
-    """Photon number and atomic energy of every eigenvector column.
-
-    The same quantities as ``photon_number`` and ``atomic_energy``, with the
-    same unit-norm check, for all columns at once.
-    """
-    weights = eig.eigenvectors**2
-    norms = np.sqrt(np.sum(weights, axis=0))
-    not_unit = np.abs(norms - 1.0) > NORM_TOL
-    if not_unit.any():
-        raise ValidationError(f"state must have unit norm, got {norms[not_unit][0]!r}")
-    nbar = (np.arange(eig.dim) // 2) @ weights
-    eatom = params.omega1 + params.omega21 * np.sum(weights[1::2], axis=0)
-    return nbar, eatom
-
-
 def _curve_positions(labels: np.ndarray) -> np.ndarray:
-    """Invert a label array: position[c] = sorted index carrying label c."""
+    """Invert a label array: position[c] = index carrying label c."""
     positions = np.empty(labels.size, dtype=int)
     positions[labels] = np.arange(labels.size)
     return positions
 
 
-def _full_peaks(eig: EigenSystem) -> np.ndarray:
-    """Absorption peak positions of the full Hamiltonian.
+def _model_columns(model, chains, basis, params, curves, k):
+    """One model's SweepRow fields over a chunk of grid points, as arrays
+    with one row per point.
 
-    Transitions from the ground eigenstate to the two lowest odd-parity
-    eigenstates; parity selection makes these the lowest dipole-allowed
-    lines regardless of how many even levels cross below them.
+    Columns are sorted per point as ``EigenSystem`` sorts them; the tracked
+    curves are the labels of the lowest k at the grid's first point, which
+    the first chunk records in ``curves``.  The full model's peaks are its
+    two lowest odd-parity levels, the lowest of the odd chain, which parity
+    selection makes the lowest dipole-allowed lines.  The RWA's are the
+    one-excitation polaritons (labels 1 and 2) seen from |g,0> (label 0);
+    past lam = omega_c the lower one is negative, the RWA pathology.
+    Photon numbers come from the basis-ordered product a whole eigenvector
+    matrix gives, because BLAS sums it over basis rows in groups of four
+    with fused multiply-adds; the wanted columns are padded to a multiple
+    of four, which BLAS treats alike.
     """
-    odd = [k for k, p in enumerate(eig.parities) if p is Parity.ODD][:2]
-    return eig.eigenvalues[odd] - eig.eigenvalues[0]
+    points = len(chains.values)
+    values = chains.values.reshape(points, -1)
+    dominant = chains.dominant.reshape(points, -1)
+    order = np.lexsort((dominant, basis.parity_signs[dominant] < 0, values), axis=-1)
+    point = np.arange(points)[:, None]
+    energies = values[point, order]
+    labels = chains.labels.ravel()
+    position = _curve_positions(labels)
+    tracked = position[curves.setdefault(model, labels[order[0, :k]])]
+    picked = np.concatenate(
+        [order[:, :k], np.broadcast_to(tracked, (points, k)), order[:, : -2 * k % 4]], axis=1
+    )
+    chain, level = picked // chains.labels.shape[1], picked % chains.labels.shape[1]
+    dense = np.zeros((points, basis.dim, picked.shape[1]))
+    dense[point[:, :, None], chains.rows[chain], np.arange(picked.shape[1])[:, None]] = (
+        chains.vectors[:, point, chain, level].transpose(1, 2, 0)
+    )
+    nbar, eatom = _observable_arrays(dense, params)
+    if model == "full":
+        peaks = chains.values[:, 1, :2] - energies[:, :1]
+    else:
+        peaks = values[:, position[1:3]] - values[:, position[:1]]
+    fields = {
+        f"nu_{model}": energies[:, 1 : k + 1] - energies[:, :1],
+        f"nu_peaks_{model}": peaks,
+        f"delta_nu_{model}": peaks[:, 1] - peaks[:, 0],
+    }
+    for field, array in (
+        ("energies", values[point, picked]),
+        ("photon_numbers", nbar),
+        ("atomic_energies", eatom),
+    ):
+        fields[f"{field}_{model}"] = array[:, :k]
+        fields[f"{field}_{model}_tracked"] = array[:, k : 2 * k]
+    return fields
 
 
-def _rwa_peaks(eig: EigenSystem) -> np.ndarray:
-    """Absorption peak positions of the RWA Hamiltonian.
-
-    The transitions from the zero-excitation |g,0> eigenstate (label 0) to
-    the minus and plus one-excitation polaritons (labels 1 and 2); past
-    lam = omega_c the lower one is negative (the polariton has sunk below
-    |g,0>), reproducing the RWA pathology.
-    """
-    ground, minus, plus = _curve_positions(eig.labels)[:3]
-    return eig.eigenvalues[[minus, plus]] - eig.eigenvalues[ground]
+def _check_k_states(k_states) -> int:
+    if k_states != int(k_states) or k_states < 1:
+        raise ValidationError(f"k_states must be an integer >= 1, got {k_states!r}")
+    return int(k_states)
 
 
 def _frozen(values) -> np.ndarray:
@@ -179,64 +202,52 @@ def run_sweep(
 
     Needs k_states + 1 eigenstates (ground plus K transitions), so the basis
     dimension 2(n_max+1) must be at least k_states + 1.  NonConvergence from
-    the eigensolver propagates with the offending coupling value attached.
-    Each point's eigensystems are dropped once its row is built.
+    the eigensolver propagates with the first failing coupling in grid
+    order attached.
+
+    The grid is solved in chunks of consecutive points, each in array passes
+    over the whole chunk, and each row's arrays are read-only views of one
+    table per field.  Of the full Hamiltonian only the lowest k_states + 1
+    levels of each parity chain are solved; they hold every level a row
+    reads.  A level of chain rank r > k_states sorts after its r lower
+    chain-mates, whose energies are distinct for lam > 0; at lam = 0 a tie
+    can put one mate after it, but then the lowest level of the other
+    chain, below every level but the lowest of either chain, sorts before
+    it.
     """
-    if k_states != int(k_states) or k_states < 1:
-        raise ValidationError(f"k_states must be an integer >= 1, got {k_states!r}")
-    k_states = int(k_states)
+    k_states = _check_k_states(k_states)
     if n_max < k_states:
         raise ValidationError(
             f"n_max={n_max} must be at least k_states={k_states} so the "
             "tracked states are resolved"
         )
+    _check_tol(tol)
     basis = build_basis(n_max)
+    params = grid.params_base
     lams = grid.values()
-    rows: list[SweepRow] = []
-    curves_full = curves_rwa = None
-    for lam, eig_full in zip(
-        lams, solve_rabi_grid(grid.params_base, lams, basis, tol=tol)
-    ):
-        params = grid.params_base.with_lambda(float(lam))
-        eig_rwa = solve_rwa(params, basis, tol=tol)
-        if curves_full is None:
-            curves_full = eig_full.labels[:k_states]
-            curves_rwa = eig_rwa.labels[:k_states]
-        rows.append(
-            _make_row(params, eig_full, eig_rwa, curves_full, curves_rwa, k_states)
+    levels = k_states + 1
+    columns, curves = {}, {}
+    for chunk, full in _rabi_chunks(params, lams, basis, levels, 2 * basis.dim * levels, tol):
+        rwa = _rwa_chains(params, lams[chunk], basis, tol)
+        _check_residuals(lams[chunk], full, rwa)
+        for model, chains in (("full", full), ("rwa", rwa)):
+            fields = _model_columns(model, chains, basis, params, curves, k_states)
+            for name, values in fields.items():
+                table = columns.setdefault(name, np.empty((lams.size, *values.shape[1:])))
+                table[chunk] = values
+    for table in columns.values():
+        table.setflags(write=False)
+    cells = {
+        name: table.tolist() if table.ndim == 1 else table for name, table in columns.items()
+    }
+    return [
+        SweepRow(
+            lam=lam,
+            regime=classify_regime(lam, params.omega_c),
+            **{name: values[i] for name, values in cells.items()},
         )
-    return rows
-
-
-def _make_row(
-    params: ModelParams,
-    eig_full: EigenSystem,
-    eig_rwa: EigenSystem,
-    curves_full: np.ndarray,
-    curves_rwa: np.ndarray,
-    k: int,
-) -> SweepRow:
-    fields = {}
-    for model, eig, curves, peaks in (
-        ("full", eig_full, curves_full, _full_peaks(eig_full)),
-        ("rwa", eig_rwa, curves_rwa, _rwa_peaks(eig_rwa)),
-    ):
-        nbar, eatom = _observable_arrays(eig, params)
-        per_state = {
-            "energies": eig.eigenvalues,
-            "photon_numbers": nbar,
-            "atomic_energies": eatom,
-        }
-        pos = _curve_positions(eig.labels)[curves]
-        for field, values in per_state.items():
-            for labeling, index in zip(_LABELINGS, (slice(k), pos)):
-                fields[f"{field}_{model}{labeling}"] = _frozen(values[index])
-        fields[f"nu_{model}"] = _frozen(eig.eigenvalues[1 : k + 1] - eig.eigenvalues[0])
-        fields[f"nu_peaks_{model}"] = _frozen(peaks)
-        fields[f"delta_nu_{model}"] = float(peaks[1] - peaks[0])
-    return SweepRow(
-        lam=params.lam, regime=classify_regime(params.lam, params.omega_c), **fields
-    )
+        for i, lam in enumerate(lams.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -267,9 +278,7 @@ def convergence_study(
         raise ValidationError("n_max_list must be non-empty")
     if any(a >= b for a, b in zip(n_maxes, n_maxes[1:])):
         raise ValidationError(f"n_max_list must be strictly ascending, got {n_maxes}")
-    if k_states != int(k_states) or k_states < 1:
-        raise ValidationError(f"k_states must be an integer >= 1, got {k_states!r}")
-    k_states = int(k_states)
+    k_states = _check_k_states(k_states)
     if 2 * (n_maxes[0] + 1) < k_states:
         raise ValidationError(
             f"smallest truncation n_max={n_maxes[0]} retains fewer than "

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 from contextlib import contextmanager
 from enum import Enum

@@ -46,6 +46,20 @@ def atomic_energy(state, params: ModelParams) -> float:
     return params.omega1 * p_g + params.omega2 * p_e
 
 
+def _observable_arrays(vectors: np.ndarray, params: ModelParams):
+    """Photon number and atomic energy of every column of ``vectors``
+    (..., dim, S), with the unit-norm check of ``photon_number`` and
+    ``atomic_energy``."""
+    weights = vectors**2
+    norms = np.sqrt(np.sum(weights, axis=-2))
+    not_unit = np.abs(norms - 1.0) > NORM_TOL
+    if not_unit.any():
+        raise ValidationError(f"state must have unit norm, got {norms[not_unit][0]!r}")
+    nbar = (np.arange(weights.shape[-2]) // 2) @ weights
+    eatom = params.omega1 + params.omega21 * np.sum(weights[..., 1::2, :], axis=-2)
+    return nbar, eatom
+
+
 def dipole_element(initial, final, *, hermitian: bool = False) -> float:
     """Matrix element <final| mu |initial> of the dipole operator.
 

@@ -1,5 +1,15 @@
-"""Closed-form rotating-wave spectrum, transition frequencies, stick
-absorption spectra, and coupling-regime classification.
+"""Spectra of the two model Hamiltonians: the structured solvers, the
+closed-form rotating-wave spectrum, transition frequencies, stick absorption
+spectra, and coupling-regime classification.
+
+Each parity sector of the full (Rabi) Hamiltonian is a symmetric
+tridiagonal chain (Braak, PRL 107, 100401 (2011)),
+
+    even: |g,0>, |e,1>, |g,2>, ...      odd: |e,0>, |g,1>, |e,2>, ...
+
+with diagonal w_c (j + 1/2) plus the atom energy and off-diagonal
+lam*sqrt(j+1), solved by the chain kernels of ``eigensolve`` over chunks of
+the coupling grid, so parity is known by construction.
 
 The rotating-wave Hamiltonian decomposes into the decoupled ground state
 |g,0> plus 2x2 blocks over {|g,n>, |e,n-1>} for each excitation number
@@ -15,18 +25,33 @@ exactly.  ``solve_rwa`` gives the whole eigensystem from the same blocks.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
 
 from .errors import ValidationError
-from .eigensolve import DEFAULT_TOL, EigenSystem, _chain_system, _check_tol, _rotation
+from .eigensolve import (
+    DEFAULT_TOL,
+    INVERSE_STEPS,
+    EigenSystem,
+    _bisect,
+    _Chains,
+    _check_residuals,
+    _check_tol,
+    _inverse_iteration,
+    _point_system,
+)
 from .model import FockBasis, ModelParams, bare_energies
-from .observables import dipole_element
 
 #: Default relative-intensity cutoff for absorption lines.
 DEFAULT_LINE_THRESHOLD = 1e-6
+
+#: Bytes one array of a chunk of grid points may take: (rows, points,
+#: chains, levels) floats for a chunk stay within this, so the handful live
+#: at once stay near 1 MB.
+_CHUNK_BYTES = 2**17
 
 
 class Branch(Enum):
@@ -76,32 +101,129 @@ def rwa_splitting(params: ModelParams, n: int) -> float:
     return plus.energy - minus.energy
 
 
-def solve_rwa(
-    params: ModelParams, basis: FockBasis, *, tol: float = DEFAULT_TOL
-) -> EigenSystem:
-    """Eigensystem of ``build_rwa_hamiltonian(params, basis)`` in closed form.
+def _rabi_chunks(
+    params: ModelParams,
+    lams: np.ndarray,
+    basis: FockBasis,
+    levels: int,
+    floats_per_point: int,
+    tol: float,
+) -> Iterator[tuple[slice, _Chains]]:
+    """``_Chains`` of the lowest ``levels`` eigenpairs of both parity chains
+    of the full Hamiltonian, for consecutive chunks of the grid ``lams``,
+    each short enough that an array of ``floats_per_point`` floats per
+    point stays within ``_CHUNK_BYTES``.  Yields (chunk slice, chains).
 
-    Each excitation block n = 1..n_max over (|e,n-1>, |g,n>) is one Jacobi
-    rotation, the one ``diagonalize`` applies to the matrix, so both give
-    the same bits; block 0 pairs the uncoupled |g,0> and |e,n_max>.  The
-    minus branch of a block is |e,n-1>'s rotation when |g,n> lies at least
-    as high, which also fixes the branches of a tie at lam = 0.  ``tol`` is
-    checked as in ``solve_rabi_grid``.
+    Bisection runs over the whole grid at once, since its arrays hold no
+    chain rows.  At lam = 0 the eigenpairs are the sorted diagonal (see
+    ``solve_rabi_grid``).
+    """
+    m = basis.n_max + 1
+    rows = basis.parity_chains
+    diag = bare_energies(params, basis)[rows]
+    off = lams[:, None, None] * np.broadcast_to(np.sqrt(np.arange(1.0, m)), (2, m - 1))
+    values = _bisect(diag, off, levels)
+    zero = lams == 0.0
+    order = np.stack([np.lexsort((-np.arange(m), chain)) for chain in diag])[:, :levels]
+    # diagonal chains: exact energies, basis-state eigenvectors
+    values[zero] = diag[[[0], [1]], order]
+    labels = 2 * np.arange(levels) + np.arange(2)[:, None]
+    size = max(1, _CHUNK_BYTES // (8 * floats_per_point))
+    for start in range(0, lams.size, size):
+        chunk = slice(start, start + size)
+        v = np.empty((m, *values[chunk].shape))
+        v[:, zero[chunk]] = np.eye(m)[:, None, order]
+        on = ~zero[chunk]
+        v[:, on] = _inverse_iteration(diag, off[chunk][on], values[chunk][on])
+        yield chunk, _Chains(rows, labels, tol, diag, off[chunk], values[chunk], v)
+
+
+def solve_rabi_grid(
+    params: ModelParams, lams, basis: FockBasis, *, tol: float = DEFAULT_TOL
+) -> Iterator[EigenSystem]:
+    """Eigensystems of the full Hamiltonian at each coupling of ``lams``.
+
+    The ``lam`` field of ``params`` is ignored.  Eigenvalues for the whole
+    grid come from one batched bisection when iteration starts; the
+    eigenvectors are computed in array passes over chunks of consecutive
+    points as the iterator reaches them, so at most one chunk's
+    eigenvectors are held at a time.  Each point keeps its own spectral
+    radius, so its result has the same bits as a single-point call.
+
+    At lam = 0 the chains are diagonal and each eigenvector is a basis
+    state; a tie within a chain is ranked as a small coupling splits it at
+    resonance, the state with more photons lower.
+
+    ``tol`` keeps its Jacobi meaning as a bound relative to ``||H||_F``: a
+    point whose worst eigenpair residual ``||Hv - Ev||`` exceeds
+    ``tol * ||H||_F`` raises NonConvergence with its coupling attached,
+    once the iterator reaches that point's chunk.
     """
     _check_tol(tol)
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1 or not np.all(np.isfinite(lams) & (lams >= 0)):
+        raise ValidationError("couplings must be a 1-D array of finite values >= 0")
+    m = basis.n_max + 1
+    for chunk, chains in _rabi_chunks(params, lams, basis, m, 2 * m * m, tol):
+        _check_residuals(lams[chunk], chains)
+        for point in range(chains.residual.size):
+            yield _point_system(basis, chains, point, INVERSE_STEPS)
+
+
+def solve_rabi(
+    params: ModelParams, basis: FockBasis, *, tol: float = DEFAULT_TOL
+) -> EigenSystem:
+    """Eigensystem of ``build_rabi_hamiltonian(params, basis)`` from its two
+    parity chains, without forming the matrix.  See ``solve_rabi_grid``."""
+    return next(solve_rabi_grid(params, [params.lam], basis, tol=tol))
+
+
+def _rwa_chains(
+    params: ModelParams, lams: np.ndarray, basis: FockBasis, tol: float
+) -> _Chains:
+    """Every eigenpair of the rotating-wave Hamiltonian at each coupling of
+    the chunk ``lams``, as chains of length 2, one per excitation block.
+
+    Each block n = 1..n_max over (|e,n-1>, |g,n>) is one Jacobi rotation,
+    the one ``diagonalize`` applies to the matrix, so both give the same
+    bits; block 0 pairs the uncoupled |g,0> and |e,n_max>.  The minus branch
+    of a block is |e,n-1>'s rotation when |g,n> lies at least as high, which
+    also fixes the branches of a tie at lam = 0.
+    """
     n = np.arange(basis.n_max + 1)
     rows = np.stack([2 * n - 1, 2 * n], axis=1)
     rows[0] = 0, basis.dim - 1
     diag = bare_energies(params, basis)[rows]
-    off = params.lam * np.sqrt(n[:, None].astype(float))
-    t, c, s = np.array([
-        _rotation(p, q, b) if b else (0.0, 1.0, 0.0)
-        for (p, q), (b,) in zip(diag.tolist(), off.tolist())
-    ]).T
-    values = diag + np.stack([-t, t], axis=1) * off
-    v = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=2)
-    labels = np.where(diag[:, 1:] < diag[:, :1], rows[:, ::-1], rows).ravel()
-    return _chain_system(basis, rows, labels, tol, params.lam, 1, diag, off, values, v)
+    off = lams[:, None, None] * np.sqrt(n[:, None].astype(float))
+    coupled = off[..., 0] != 0.0
+    half_gap = np.broadcast_to(0.5 * (diag[:, 1] - diag[:, 0]), coupled.shape)
+    with np.errstate(over="ignore"):  # an infinite theta gives t = 0
+        theta = half_gap[coupled] / off[..., 0][coupled]
+    # math.hypot, as in _rotation: numpy's hypot rounds differently in about
+    # one call in a thousand
+    root = np.array([math.hypot(x, 1.0) for x in theta.tolist()])
+    t = np.zeros(coupled.shape)
+    t[coupled] = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + root)
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    values = diag + np.stack([-t, t], axis=-1) * off
+    v = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)])
+    labels = np.where(diag[:, 1:] < diag[:, :1], rows[:, ::-1], rows)
+    return _Chains(rows, labels, tol, diag, off, values, v)
+
+
+def solve_rwa(
+    params: ModelParams, basis: FockBasis, *, tol: float = DEFAULT_TOL
+) -> EigenSystem:
+    """Eigensystem of ``build_rwa_hamiltonian(params, basis)`` in closed form,
+    from its 2x2 excitation blocks (see ``_rwa_chains``).  ``tol`` is
+    checked as in ``solve_rabi_grid``.
+    """
+    _check_tol(tol)
+    lams = np.array([params.lam])
+    chains = _rwa_chains(params, lams, basis, tol)
+    _check_residuals(lams, chains)
+    return _point_system(basis, chains, 0, 1)
 
 
 def transition_frequencies(eig: EigenSystem, ground_index: int = 0) -> np.ndarray:
@@ -141,10 +263,11 @@ def absorption_lines(
 ) -> list[SpectralLine]:
     """Stick absorption spectrum from the ground eigenstate.
 
-    Computes the squared dipole element from eigenstate 0 to every higher
-    eigenstate, normalizes so the strongest line has intensity 1, drops
-    lines at or below the relative ``threshold``, and returns the rest
-    sorted by frequency.
+    Computes the squared dipole element (see ``dipole_element``) from
+    eigenstate 0 to every higher eigenstate in one matrix-vector product,
+    normalizes so the strongest line has intensity 1, drops lines at or
+    below the relative ``threshold``, and returns the rest sorted by
+    frequency.
     """
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold!r}")
@@ -152,27 +275,25 @@ def absorption_lines(
         raise ValidationError(
             f"eigensystem dimension {eig.dim} does not match basis dimension {len(basis)}"
         )
-    ground = eig.eigenvectors[:, 0]
-    e0 = eig.eigenvalues[0]
-    frequencies = []
-    raw = []
-    for k in range(1, eig.dim):
-        element = dipole_element(ground, eig.eigenvectors[:, k], hermitian=hermitian)
-        raw.append(element * element)
-        frequencies.append(float(eig.eigenvalues[k] - e0))
-    strongest = max(raw, default=0.0)
+    vectors = eig.eigenvectors
+    elements = vectors[0::2, 0] @ vectors[1::2, 1:]
+    if hermitian:
+        elements = elements + vectors[1::2, 0] @ vectors[0::2, 1:]
+    raw = elements * elements
+    strongest = float(np.max(raw, initial=0.0))
     if strongest == 0.0:
         return []
+    frequencies = (eig.eigenvalues[1:] - eig.eigenvalues[0]).tolist()
     lines = [
         SpectralLine(
             from_index=0,
             to_index=k,
-            frequency=frequencies[k - 1],
-            intensity=raw[k - 1] / strongest,
-            raw_intensity=raw[k - 1],
+            frequency=frequency,
+            intensity=weight / strongest,
+            raw_intensity=weight,
         )
-        for k in range(1, eig.dim)
-        if raw[k - 1] / strongest > threshold
+        for k, (frequency, weight) in enumerate(zip(frequencies, raw.tolist()), start=1)
+        if weight / strongest > threshold
     ]
     lines.sort(key=lambda line: line.frequency)
     return lines

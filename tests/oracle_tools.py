@@ -1,11 +1,13 @@
 """Independent reference routes used by the tests.
 
-Everything here deliberately avoids the library's own solvers so that
-numerical assertions compare two unrelated computations: eigenvalue counts
-come from LDL^T inertia (scipy), bracketing from Gershgorin discs, the
-extremal eigenvalue from plain bisection on the count function, and state
-tracking across a sweep from eigenvector overlaps instead of the symmetry
-labels the library tracks by.
+Everything here but the sweep-row builder deliberately avoids the
+library's own solvers so that numerical assertions compare two unrelated
+computations: eigenvalue counts come from LDL^T inertia (scipy), bracketing
+from Gershgorin discs, the extremal eigenvalue from plain bisection on the
+count function, and state tracking across a sweep from eigenvector overlaps
+instead of the symmetry labels the library tracks by.  ``sweep_rows``
+builds the rows of ``run_sweep`` one grid point at a time from whole
+eigensystems, the reference for the batched row assembly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from polariscope import EigenSystem, ValidationError
+import polariscope as ps
+from polariscope import EigenSystem, Parity, ValidationError
 
 #: Minimum eigenvector overlap for an unambiguous tracking step.
 OVERLAP_MIN = 2.0**-0.5
@@ -124,3 +127,62 @@ def track_states(previous: EigenSystem, current: EigenSystem) -> np.ndarray:
         mapping[j] = i
         taken[i] = True
     return mapping
+
+
+def _observable_arrays(eig: EigenSystem, params: ps.ModelParams):
+    """Photon number and atomic energy of every eigenvector column."""
+    weights = eig.eigenvectors**2
+    nbar = (np.arange(eig.dim) // 2) @ weights
+    eatom = params.omega1 + params.omega21 * np.sum(weights[1::2], axis=0)
+    return nbar, eatom
+
+
+def _curve_positions(labels: np.ndarray) -> np.ndarray:
+    positions = np.empty(labels.size, dtype=int)
+    positions[labels] = np.arange(labels.size)
+    return positions
+
+
+def _make_row(params, eig_full, eig_rwa, curves_full, curves_rwa, k) -> ps.SweepRow:
+    odd = [j for j, p in enumerate(eig_full.parities) if p is Parity.ODD][:2]
+    ground, minus, plus = _curve_positions(eig_rwa.labels)[:3]
+    fields = {}
+    peaks_full = eig_full.eigenvalues[odd] - eig_full.eigenvalues[0]
+    peaks_rwa = eig_rwa.eigenvalues[[minus, plus]] - eig_rwa.eigenvalues[ground]
+    for model, eig, curves, peaks in (
+        ("full", eig_full, curves_full, peaks_full),
+        ("rwa", eig_rwa, curves_rwa, peaks_rwa),
+    ):
+        nbar, eatom = _observable_arrays(eig, params)
+        pos = _curve_positions(eig.labels)[curves]
+        for field, values in (
+            ("energies", eig.eigenvalues),
+            ("photon_numbers", nbar),
+            ("atomic_energies", eatom),
+        ):
+            fields[f"{field}_{model}"] = values[:k]
+            fields[f"{field}_{model}_tracked"] = values[pos]
+        fields[f"nu_{model}"] = eig.eigenvalues[1 : k + 1] - eig.eigenvalues[0]
+        fields[f"nu_peaks_{model}"] = peaks
+        fields[f"delta_nu_{model}"] = float(peaks[1] - peaks[0])
+    return ps.SweepRow(
+        lam=params.lam, regime=ps.classify_regime(params.lam, params.omega_c), **fields
+    )
+
+
+def sweep_rows(grid: ps.SweepGrid, n_max: int = 14, k_states: int = 7) -> list[ps.SweepRow]:
+    """The rows of ``run_sweep(grid, n_max, k_states)``, each built from the
+    whole eigensystems of its grid point: the sorted columns, the two lowest
+    odd levels for the full peaks, and each tracked curve found by label."""
+    basis = ps.build_basis(n_max)
+    lams = grid.values()
+    rows = []
+    curves_full = curves_rwa = None
+    for lam, eig_full in zip(lams, ps.solve_rabi_grid(grid.params_base, lams, basis)):
+        params = grid.params_base.with_lambda(float(lam))
+        eig_rwa = ps.solve_rwa(params, basis)
+        if curves_full is None:
+            curves_full = eig_full.labels[:k_states]
+            curves_rwa = eig_rwa.labels[:k_states]
+        rows.append(_make_row(params, eig_full, eig_rwa, curves_full, curves_rwa, k_states))
+    return rows

@@ -6,7 +6,6 @@ for them (criteria 2 and 7).
 """
 
 import numpy as np
-import pytest
 
 import polariscope as ps
 from polariscope import ModelParams, Parity, Regime

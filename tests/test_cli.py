@@ -1,7 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import polariscope as ps
@@ -279,6 +281,32 @@ def test_main_tiny_tol_trips_the_residual_check(tmp_path, capsys):
     assert "converge" in err
     assert "lambda=0.5" in err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_main_sweep_tiny_tol_names_the_first_failing_coupling(tmp_path, capsys):
+    # lam = 0 solves exactly (residual 0); the next grid point fails first
+    code = main(["sweep", "--tol", "1e-30", "--steps", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert "at lambda=0.3:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_overflowing_solver_exits_2_without_runtime_warnings(tmp_path):
+    # energies near 1e-140 overflow inverse iteration; the run must fail
+    # with exit code 2 and nothing from numpy on stderr
+    src = Path(ps.__file__).resolve().parents[1]
+    args = ["spectrum", "--omega2", "1e-140", "--omega-c", "1e-140", "--lambda", "1e-140"]
+    result = subprocess.run(
+        [sys.executable, "-m", "polariscope", *args, "--n-max", "2", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert "eigensolver failed to converge at lambda=1e-140" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_io_error_exit_code(tmp_path, capsys):

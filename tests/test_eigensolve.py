@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polariscope as ps
-from polariscope import Atom, ModelParams, Parity
+from polariscope import Atom, ModelParams, Parity, spectra
 
 import oracle_tools
 
@@ -350,15 +352,80 @@ def test_rwa_labels_are_block_and_branch():
         assert np.argmax(bare.eigenvectors[:, minus]) == (2 if swapped else 1)
 
 
-def test_solve_rabi_grid_matches_single_point_solves():
-    basis = ps.build_basis(8)
-    base = ModelParams(omega2=1.1)
-    lams = np.linspace(0.0, 1.5, 7)
-    for lam, eig in zip(lams, ps.solve_rabi_grid(base, lams, basis)):
+_COUPLINGS = st.lists(
+    st.one_of(st.just(0.0), st.just(1e-9), st.floats(min_value=0.0, max_value=2.0)),
+    min_size=1,
+    max_size=9,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_max=st.integers(min_value=0, max_value=9),
+    omega2=st.sampled_from([0.8, 1.0, 1.2, 2.5]),
+    lams=_COUPLINGS,
+    chunk_bytes=st.sampled_from([1, 2**10, 2**17]),
+)
+@example(n_max=8, omega2=1.1, lams=list(np.linspace(0.0, 1.5, 7)), chunk_bytes=2**17)
+@example(n_max=6, omega2=1.0, lams=[0.0, 1e-9, 0.4, 0.0, 1.2], chunk_bytes=1)
+def test_solve_rabi_grid_matches_single_point_solves(n_max, omega2, lams, chunk_bytes):
+    # the grid is inverse-iterated in chunks of points (a single point per
+    # chunk at chunk_bytes=1); each point keeps its own spectral radius, so
+    # chunking changes no bit, at lam = 0 and in tight clusters (lam = 1e-9)
+    basis = ps.build_basis(n_max)
+    base = ModelParams(omega2=omega2)
+    with mock.patch.object(spectra, "_CHUNK_BYTES", chunk_bytes):
+        systems = list(ps.solve_rabi_grid(base, lams, basis))
+    assert len(systems) == len(lams)
+    for lam, eig in zip(lams, systems):
         single = ps.solve_rabi(base.with_lambda(lam), basis)
-        assert np.array_equal(eig.eigenvalues, single.eigenvalues)
-        assert np.array_equal(eig.eigenvectors, single.eigenvectors)
-        assert np.array_equal(eig.labels, single.labels)
+        for name in ("eigenvalues", "eigenvectors", "labels"):
+            assert getattr(eig, name).tobytes() == getattr(single, name).tobytes()
+        assert eig.parities == single.parities
+        assert eig.residual == single.residual
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_max=st.integers(min_value=1, max_value=9),
+    levels=st.integers(min_value=2, max_value=10),
+    omega2=st.sampled_from([0.8, 1.0, 1.2, 2.5]),
+    lams=_COUPLINGS,
+)
+@example(n_max=14, levels=8, omega2=1.0, lams=[0.0, 1e-9, 0.5, 1.2])
+def test_lowest_levels_agree_with_the_full_solve(n_max, levels, omega2, lams):
+    # a sweep solves only the lowest K levels of each parity chain: those
+    # columns keep the bits of the full solve, and the lowest K levels of the
+    # whole spectrum, sorted as an EigenSystem sorts them, lie among them
+    levels = min(levels, n_max + 1)
+    basis = ps.build_basis(n_max)
+    base = ModelParams(omega2=omega2)
+    lams = np.array(lams)
+    [(_, part)] = spectra._rabi_chunks(base, lams, basis, levels, 1, 1e-12)
+    [(_, full)] = spectra._rabi_chunks(base, lams, basis, n_max + 1, 1, 1e-12)
+    for name in ("values", "vectors", "dominant"):
+        shared = getattr(full, name)[..., :levels]
+        assert getattr(part, name).tobytes() == np.ascontiguousarray(shared).tobytes()
+    assert np.array_equal(part.labels, full.labels[:, :levels])
+    assert np.all(part.residual <= full.residual)
+    for point, lam in enumerate(lams):
+        eig = ps.solve_rabi(base.with_lambda(lam), basis)
+        dominant = part.dominant[point].ravel()
+        order = np.lexsort(
+            (dominant, basis.parity_signs[dominant] < 0, part.values[point].ravel())
+        )
+        assert np.array_equal(part.labels.ravel()[order[:levels]], eig.labels[:levels])
+
+
+def test_overflowing_iterates_raise_nonconvergence_without_warnings():
+    # energies near 1e-140 overflow inverse iteration; the residual check
+    # rejects the non-finite vectors and numpy prints nothing on the way
+    params = ModelParams(omega2=1e-140, omega_c=1e-140, lam=1e-140)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ps.NonConvergence) as info:
+            ps.solve_rabi(params, ps.build_basis(2))
+    assert info.value.lam == 1e-140
 
 
 @pytest.mark.parametrize("solve", [ps.solve_rabi, ps.solve_rwa])

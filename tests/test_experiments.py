@@ -1,4 +1,4 @@
-import math
+import dataclasses
 
 import numpy as np
 import pytest
@@ -342,7 +342,7 @@ def test_label_tracking_matches_overlap_tracking(omega2):
             positions = np.empty(basis.dim, dtype=int)
             positions[curves] = np.arange(basis.dim)
             params = grid.params_base.with_lambda(row.lam)
-            nbar, eatom = _observable_arrays(eig, params)
+            nbar, eatom = _observable_arrays(eig.eigenvectors, params)
             pos = positions[:7]
             for quantity, values in (
                 ("energies", eig.eigenvalues),
@@ -354,22 +354,38 @@ def test_label_tracking_matches_overlap_tracking(omega2):
             prev = eig
 
 
+@pytest.mark.parametrize("omega2", [1.0, 0.8, 1.2])
+def test_run_sweep_rows_equal_the_per_point_builder(omega2):
+    # run_sweep tabulates chunks of the grid from chain arrays and solves
+    # only the lowest k_states + 1 levels of each full-model chain; every
+    # field keeps the bits of rows built from whole per-point eigensystems,
+    # through the exact even/odd crossing at lambda = 0.4 off resonance
+    grid = ps.SweepGrid(params_base=ModelParams(omega2=omega2))
+    rows = ps.run_sweep(grid)
+    expected = oracle_tools.sweep_rows(grid)
+    assert len(rows) == len(expected)
+    for row, reference in zip(rows, expected):
+        for field in dataclasses.fields(ps.SweepRow):
+            value, want = getattr(row, field.name), getattr(reference, field.name)
+            assert type(value) is type(want), field.name
+            if isinstance(want, np.ndarray):
+                assert value.shape == want.shape and value.tobytes() == want.tobytes(), (
+                    row.lam,
+                    field.name,
+                )
+            else:
+                assert value == want, (row.lam, field.name)
+
+
 def test_observable_arrays_match_per_state_functions():
     params = ModelParams(omega1=0.3, omega2=1.4, lam=0.7)
     eig = ps.solve_rabi(params, ps.build_basis(10))
-    nbar, eatom = _observable_arrays(eig, params)
+    nbar, eatom = _observable_arrays(eig.eigenvectors, params)
     for k in range(eig.dim):
         column = eig.eigenvectors[:, k]
         assert nbar[k] == pytest.approx(ps.photon_number(column), rel=1e-14, abs=1e-15)
         assert eatom[k] == pytest.approx(
             ps.atomic_energy(column, params), rel=1e-14, abs=1e-15
         )
-    stretched = EigenSystem(
-        eigenvalues=eig.eigenvalues,
-        eigenvectors=eig.eigenvectors * (1.0 + 1e-9),
-        parities=eig.parities,
-        sweeps=eig.sweeps,
-        residual=eig.residual,
-    )
     with pytest.raises(ps.ValidationError, match="unit norm"):
-        _observable_arrays(stretched, params)
+        _observable_arrays(eig.eigenvectors * (1.0 + 1e-9), params)
