@@ -56,6 +56,7 @@ _CLUSTER_GAP = 1e-3
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
 
 _PARITY_RANK = {Parity.EVEN: 0, Parity.ODD: 1, Parity.MIXED: 2}
 
@@ -254,10 +255,12 @@ def diagonalize(
 
 
 def _radius(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """A bound on the spectral radius of each chain, shaped (..., 1)."""
-    return np.max(np.abs(diag), axis=-1, keepdims=True) + 2.0 * np.max(
-        np.abs(off), axis=-1, keepdims=True, initial=0.0
-    )
+    """A bound on the spectral radius of each chain, shaped (..., 1), over
+    its finite rows: rows padded with an infinite diagonal (and zero
+    off-diagonals) are not part of the chain."""
+    return np.max(
+        np.abs(diag), axis=-1, keepdims=True, where=diag < np.inf, initial=0.0
+    ) + 2.0 * np.max(np.abs(off), axis=-1, keepdims=True, initial=0.0)
 
 
 def _bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
@@ -273,14 +276,23 @@ def _bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
     factorization of T - x (Sturm count).  A zero or tiny pivot makes the
     next pivot -inf, which counts it as an infinitesimal positive one;
     ``off2`` is kept positive so that no 0/0 arises.
+
+    A chain may be padded past its end with rows of diagonal +inf and
+    off-diagonal 0: their pivots are +inf (or NaN after a zero pivot), and
+    neither counts, so the padded chain keeps the bits of the unpadded one
+    in every level it has.
+
+    The brackets start at +-radius, capped at half the largest float so
+    that ``lo + hi`` cannot overflow; a chain that large overflows inverse
+    iteration, whose residual check then rejects it.
     """
-    radius = _radius(diag, off)
+    radius = np.minimum(_radius(diag, off), 0.5 * _HUGE)
     bound = 2.0 * _EPS * radius + _TINY
     hi = radius + np.zeros(levels)
     lo = -hi
     off2 = off * off + _TINY
     index = np.arange(levels)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while (active := hi - lo > bound).any():
             mid = 0.5 * (lo + hi)
             q = diag[..., :1] - mid

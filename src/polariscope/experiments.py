@@ -21,12 +21,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .eigensolve import DEFAULT_TOL, _check_residuals, _check_tol
-from .model import ModelParams, build_basis
+from .model import ModelParams, _check_n_max, build_basis
 from .observables import _observable_arrays
 from .spectra import (
     DEFAULT_LINE_THRESHOLD,
     Regime,
     _rabi_chunks,
+    _rabi_ladder,
     _rwa_chains,
     absorption_lines,
     classify_regime,
@@ -269,11 +270,18 @@ def convergence_study(
 ) -> list[ConvergenceRow]:
     """Lowest-K energies of the full Hamiltonian at each truncation.
 
-    ``n_max_list`` must be strictly ascending; every truncation must retain
-    at least k_states basis states.  The deviation column compares against
-    the largest truncation in the list.
+    ``n_max_list`` must hold non-negative integers, strictly ascending;
+    every truncation must retain at least k_states basis states.  The
+    deviation column compares against the largest truncation in the list.
+
+    All rungs are solved in one pass, and only the lowest k_states levels
+    of each parity chain (fewer if the chain is shorter), which hold the
+    rung's lowest k_states energies.  The energies have the bits of
+    ``solve_rabi(...).eigenvalues[:k_states]`` at each rung.  The residual
+    check covers exactly those levels: NonConvergence is raised at the
+    first rung where the residual of one of them exceeds ``tol * ||H||_F``.
     """
-    n_maxes = [int(n) for n in n_max_list]
+    n_maxes = [_check_n_max(n) for n in n_max_list]
     if not n_maxes:
         raise ValidationError("n_max_list must be non-empty")
     if any(a >= b for a, b in zip(n_maxes, n_maxes[1:])):
@@ -284,10 +292,7 @@ def convergence_study(
             f"smallest truncation n_max={n_maxes[0]} retains fewer than "
             f"k_states={k_states} basis states"
         )
-    energy_table = []
-    for n_max in n_maxes:
-        eig = solve_rabi(params, build_basis(n_max), tol=tol)
-        energy_table.append(eig.eigenvalues[:k_states].copy())
+    energy_table = _rabi_ladder(params, n_maxes, k_states, tol)
     reference = energy_table[-1]
     return [
         ConvergenceRow(

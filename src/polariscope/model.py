@@ -159,13 +159,17 @@ class FockBasis:
         return self.dim
 
 
-def build_basis(n_max: int) -> FockBasis:
-    """Canonical interleaved basis with photon numbers 0..n_max."""
+def _check_n_max(n_max) -> int:
     if n_max != int(n_max) or n_max < 0:
         raise ValidationError(
             f"n_max must be a non-negative integer, got {n_max!r}"
         )
-    return FockBasis(n_max=int(n_max))
+    return int(n_max)
+
+
+def build_basis(n_max: int) -> FockBasis:
+    """Canonical interleaved basis with photon numbers 0..n_max."""
+    return FockBasis(n_max=_check_n_max(n_max))
 
 
 def _annihilation(n_max: int) -> np.ndarray:

@@ -43,7 +43,7 @@ from .eigensolve import (
     _inverse_iteration,
     _point_system,
 )
-from .model import FockBasis, ModelParams, bare_energies
+from .model import FockBasis, ModelParams, bare_energies, build_basis
 
 #: Default relative-intensity cutoff for absorption lines.
 DEFAULT_LINE_THRESHOLD = 1e-6
@@ -101,6 +101,47 @@ def rwa_splitting(params: ModelParams, n: int) -> float:
     return plus.energy - minus.energy
 
 
+def _rabi_chain_arrays(
+    params: ModelParams, lams: np.ndarray, basis: FockBasis
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis rows (2, m) and diagonal (2, m) of the full Hamiltonian's two
+    parity chains, and their off-diagonals (p, 2, m-1) at the couplings
+    ``lams`` (p,)."""
+    m = basis.n_max + 1
+    rows = basis.parity_chains
+    diag = bare_energies(params, basis)[rows]
+    off = lams[:, None, None] * np.broadcast_to(np.sqrt(np.arange(1.0, m)), (2, m - 1))
+    return rows, diag, off
+
+
+def _rabi_pairs(
+    rows: np.ndarray,
+    diag: np.ndarray,
+    off: np.ndarray,
+    values: np.ndarray,
+    zero: np.ndarray,
+    tol: float,
+) -> _Chains:
+    """``_Chains`` of the lowest levels of the parity chains of
+    ``_rabi_chain_arrays`` at p couplings, from their bisected eigenvalues
+    ``values`` (p, 2, K).
+
+    At the points ``zero`` (lam = 0) the chains are diagonal: ``values`` is
+    overwritten there with the exact sorted diagonal and the eigenvectors
+    are basis states (see ``solve_rabi_grid``).  Elsewhere they come from
+    inverse iteration.
+    """
+    m, levels = diag.shape[-1], values.shape[-1]
+    order = np.stack([np.lexsort((-np.arange(m), chain)) for chain in diag])[:, :levels]
+    values[zero] = diag[[[0], [1]], order]
+    v = np.empty((m, *values.shape))
+    v[:, zero] = np.eye(m)[:, None, order]
+    on = ~zero
+    v[:, on] = _inverse_iteration(diag, off[on], values[on])
+    labels = 2 * np.arange(levels) + np.arange(2)[:, None]
+    return _Chains(rows, labels, tol, diag, off, values, v)
+
+
 def _rabi_chunks(
     params: ModelParams,
     lams: np.ndarray,
@@ -115,27 +156,57 @@ def _rabi_chunks(
     point stays within ``_CHUNK_BYTES``.  Yields (chunk slice, chains).
 
     Bisection runs over the whole grid at once, since its arrays hold no
-    chain rows.  At lam = 0 the eigenpairs are the sorted diagonal (see
-    ``solve_rabi_grid``).
+    chain rows.
     """
-    m = basis.n_max + 1
-    rows = basis.parity_chains
-    diag = bare_energies(params, basis)[rows]
-    off = lams[:, None, None] * np.broadcast_to(np.sqrt(np.arange(1.0, m)), (2, m - 1))
+    rows, diag, off = _rabi_chain_arrays(params, lams, basis)
     values = _bisect(diag, off, levels)
-    zero = lams == 0.0
-    order = np.stack([np.lexsort((-np.arange(m), chain)) for chain in diag])[:, :levels]
-    # diagonal chains: exact energies, basis-state eigenvectors
-    values[zero] = diag[[[0], [1]], order]
-    labels = 2 * np.arange(levels) + np.arange(2)[:, None]
     size = max(1, _CHUNK_BYTES // (8 * floats_per_point))
     for start in range(0, lams.size, size):
         chunk = slice(start, start + size)
-        v = np.empty((m, *values[chunk].shape))
-        v[:, zero[chunk]] = np.eye(m)[:, None, order]
-        on = ~zero[chunk]
-        v[:, on] = _inverse_iteration(diag, off[chunk][on], values[chunk][on])
-        yield chunk, _Chains(rows, labels, tol, diag, off[chunk], values[chunk], v)
+        pairs = _rabi_pairs(rows, diag, off[chunk], values[chunk], lams[chunk] == 0.0, tol)
+        yield chunk, pairs
+
+
+def _rabi_ladder(
+    params: ModelParams, n_maxes: list[int], k_states: int, tol: float
+) -> np.ndarray:
+    """The lowest ``k_states`` eigenvalues of the full Hamiltonian at each
+    truncation of the ascending ``n_maxes``, shaped (rungs, k_states), with
+    the bits of ``solve_rabi(...).eigenvalues[:k_states]`` at each rung.
+
+    Neither the diagonal nor the off-diagonals of a parity chain depend on
+    n_max, so each rung's chains are the leading rows of the largest
+    rung's.  One bisection serves the whole ladder: the chains are stacked
+    (rungs, 2, M), with the rows past each rung's end padded by an infinite
+    diagonal and zero off-diagonals, which count no eigenvalue.  It finds
+    only the lowest min(k_states, n_max + 1) levels of each chain, which
+    hold the rung's lowest k_states.  Each rung then inverse-iterates those
+    levels on its own chains and raises NonConvergence, rungs in ascending
+    order, if their worst residual exceeds ``tol * ||H||_F``.
+    """
+    _check_tol(tol)
+    lams = np.array([params.lam])
+    rows, diag, off = _rabi_chain_arrays(params, lams, build_basis(n_maxes[-1]))
+    sizes = [n_max + 1 for n_max in n_maxes]
+    inside = np.arange(diag.shape[-1]) < np.array(sizes)[:, None, None]
+    values = _bisect(
+        np.where(inside, diag, np.inf),
+        np.where(inside[..., 1:], off, 0.0),
+        min(k_states, diag.shape[-1]),
+    )
+    energies = np.empty((len(sizes), k_states))
+    for rung, size in enumerate(sizes):
+        chains = _rabi_pairs(
+            rows[:, :size],
+            diag[:, :size],
+            off[..., : size - 1],
+            values[rung : rung + 1, :, : min(k_states, size)],
+            lams == 0.0,
+            tol,
+        )
+        _check_residuals(lams, chains)
+        energies[rung] = np.sort(chains.values, axis=None)[:k_states]
+    return energies
 
 
 def solve_rabi_grid(

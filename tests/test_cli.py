@@ -291,20 +291,44 @@ def test_main_sweep_tiny_tol_names_the_first_failing_coupling(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_main_overflowing_solver_exits_2_without_runtime_warnings(tmp_path):
-    # energies near 1e-140 overflow inverse iteration; the run must fail
-    # with exit code 2 and nothing from numpy on stderr
+def _run_module(argv):
+    """``python -m polariscope argv`` in a subprocess, whose stderr shows
+    what numpy prints."""
     src = Path(ps.__file__).resolve().parents[1]
-    args = ["spectrum", "--omega2", "1e-140", "--omega-c", "1e-140", "--lambda", "1e-140"]
-    result = subprocess.run(
-        [sys.executable, "-m", "polariscope", *args, "--n-max", "2", "--out", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-m", "polariscope", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=120,
     )
+
+
+def test_main_overflowing_solver_exits_2_without_runtime_warnings(tmp_path):
+    # energies near 1e-140 overflow inverse iteration; the run must fail
+    # with exit code 2 and nothing from numpy on stderr
+    args = ["spectrum", "--omega2", "1e-140", "--omega-c", "1e-140", "--lambda", "1e-140"]
+    result = _run_module([*args, "--n-max", "2", "--out", str(tmp_path)])
     assert result.returncode == 2
     assert "eigensolver failed to converge at lambda=1e-140" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, coupling",
+    [
+        (["--omega2", "1e-140", "--omega-c", "1e-140", "--lambda", "1e-140"], "1e-140"),
+        (["--tol", "1e-30"], "0.5"),
+    ],
+)
+def test_main_converge_failure_exits_2_without_runtime_warnings(tmp_path, args, coupling):
+    # the ladder is bisected as one array with its shorter rungs padded by
+    # infinite rows; neither an overflow nor the padding's inf - inf may
+    # print anything from numpy, and no dataset is written
+    result = _run_module(["converge", *args, "--out", str(tmp_path)])
+    assert result.returncode == 2
+    assert f"eigensolver failed to converge at lambda={coupling}:" in result.stderr
     assert "RuntimeWarning" not in result.stderr
     assert list(tmp_path.iterdir()) == []
 

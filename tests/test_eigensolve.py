@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polariscope as ps
-from polariscope import Atom, ModelParams, Parity, spectra
+from polariscope import Atom, ModelParams, Parity, eigensolve, spectra
 
 import oracle_tools
 
@@ -417,6 +417,40 @@ def test_lowest_levels_agree_with_the_full_solve(n_max, levels, omega2, lams):
         assert np.array_equal(part.labels.ravel()[order[:levels]], eig.labels[:levels])
 
 
+_INTEGER_CHAIN = st.integers(min_value=1, max_value=8).flatmap(
+    lambda m: st.tuples(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=m, max_size=m),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=m - 1, max_size=m - 1),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    chains=st.lists(_INTEGER_CHAIN, min_size=1, max_size=4),
+    scale=st.sampled_from([1.0, 0.3, 1e-140]),
+)
+@example(chains=[([1, 1], [1]), ([2], [])], scale=1.0)
+def test_bisect_on_inf_padded_chains_equals_unpadded(chains, scale):
+    # chains of different lengths batched as one array, each padded past
+    # its end with diagonal +inf and off-diagonal 0; integer entries put
+    # bisection midpoints on exact zero pivots, so the padding meets
+    # inf - inf, silently
+    width = 1 + max(len(d) for d, _ in chains)
+    levels = min(len(d) for d, _ in chains)
+    diag = np.full((len(chains), width), np.inf)
+    off = np.zeros((len(chains), width - 1))
+    for row, (d, o) in enumerate(chains):
+        diag[row, : len(d)] = np.multiply(d, scale)
+        off[row, : len(o)] = np.multiply(o, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        padded = eigensolve._bisect(diag, off, levels)
+    for row, (d, o) in enumerate(chains):
+        alone = eigensolve._bisect(np.multiply(d, scale), np.multiply(o, scale), levels)
+        assert padded[row].tobytes() == alone.tobytes()
+
+
 def test_overflowing_iterates_raise_nonconvergence_without_warnings():
     # energies near 1e-140 overflow inverse iteration; the residual check
     # rejects the non-finite vectors and numpy prints nothing on the way
@@ -426,6 +460,21 @@ def test_overflowing_iterates_raise_nonconvergence_without_warnings():
         with pytest.raises(ps.NonConvergence) as info:
             ps.solve_rabi(params, ps.build_basis(2))
     assert info.value.lam == 1e-140
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_energies_near_the_largest_float_raise_nonconvergence():
+    # bisection brackets start at most half the largest float from zero, so
+    # lo + hi cannot overflow and bisection ends: the diagonal reaches
+    # 1.7e308 at n_max = 16, and overflows to inf (rows that count no
+    # eigenvalue) at n_max = 40
+    params = ModelParams(omega_c=1e307, lam=0.5)
+    with pytest.raises(ps.NonConvergence):
+        ps.solve_rabi(params, ps.build_basis(16))
+    with pytest.raises(ps.NonConvergence):
+        ps.solve_rabi(params, ps.build_basis(40))
+    with pytest.raises(ps.NonConvergence):
+        ps.convergence_study(params, [16, 40])
 
 
 @pytest.mark.parametrize("solve", [ps.solve_rabi, ps.solve_rwa])

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle_tools
 import polariscope as ps
@@ -264,6 +266,46 @@ def test_convergence_study_validation():
         ps.convergence_study(ModelParams(), [])
     with pytest.raises(ps.ValidationError):
         ps.convergence_study(ModelParams(), [1], k_states=7)
+
+
+@pytest.mark.parametrize("ladder", [[4.7, 8.2, 14.9], [-1, 4, 8]])
+def test_convergence_study_rejects_rungs_build_basis_rejects(ladder):
+    # a rung is checked as build_basis checks n_max, before any rounding
+    with pytest.raises(ps.ValidationError) as expected:
+        ps.build_basis(ladder[0])
+    with pytest.raises(ps.ValidationError) as info:
+        ps.convergence_study(ModelParams(lam=0.5), ladder)
+    assert str(info.value) == str(expected.value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    omega2=st.sampled_from([0.8, 1.0, 1.2, 2.5]),
+    lam=st.floats(min_value=0.0, max_value=3.0),
+    ladder=st.lists(
+        st.integers(min_value=0, max_value=24), min_size=1, max_size=5, unique=True
+    ).map(sorted),
+    k_states=st.integers(min_value=1, max_value=12),
+)
+@example(omega2=1.0, lam=0.0, ladder=[3, 5, 9], k_states=7)
+@example(omega2=1.0, lam=1e-9, ladder=[3, 5, 9], k_states=7)
+@example(omega2=1.0, lam=1.0, ladder=[4, 6, 8, 10, 14, 20, 28, 40, 63], k_states=7)
+def test_convergence_study_matches_per_rung_solves(omega2, lam, ladder, k_states):
+    # the whole ladder is bisected at once for the lowest levels of each
+    # chain, including rungs whose chains are shorter than k_states; every
+    # energy keeps the bits of a full solve at that rung, at lam = 0 and in
+    # tight clusters (lam = 1e-9)
+    k_states = min(k_states, 2 * (ladder[0] + 1))
+    params = ModelParams(omega2=omega2, lam=lam)
+    rows = ps.convergence_study(params, ladder, k_states)
+    energies = [
+        ps.solve_rabi(params, ps.build_basis(n_max)).eigenvalues[:k_states]
+        for n_max in ladder
+    ]
+    assert [row.n_max for row in rows] == ladder
+    for row, expected in zip(rows, energies):
+        assert row.energies.tobytes() == expected.tobytes()
+        assert row.max_abs_dev == float(np.max(np.abs(expected - energies[-1])))
 
 
 def test_sweep_datasets_structure():
