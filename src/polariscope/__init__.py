@@ -51,7 +51,6 @@ from .spectra import (
     rwa_ground_energy,
     rwa_splitting,
     solve_rabi,
-    solve_rabi_grid,
     solve_rwa,
     transition_frequencies,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "rwa_ground_energy",
     "rwa_splitting",
     "solve_rabi",
-    "solve_rabi_grid",
     "solve_rwa",
     "sweep_datasets",
     "transition_frequencies",

@@ -1,7 +1,8 @@
 """Eigensolvers: a dense Jacobi solver for any real symmetric matrix, and
 batched kernels for symmetric tridiagonal chains, which the structured
-solvers of the two model Hamiltonians (``spectra.solve_rabi_grid``,
-``spectra.solve_rwa``) are built from.
+solvers of the two model Hamiltonians (``spectra.solve_rabi``,
+``spectra.solve_rwa``), the sweep tables of ``experiments.run_sweep`` and
+the truncation ladder of ``experiments.convergence_study`` are built from.
 
 The chain kernels work on arrays over a chunk of grid points at once:
 Sturm-count bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967))
@@ -376,11 +377,15 @@ class _Chains:
     """
 
     def __init__(self, rows, labels, tol, diag, off, values, v):
-        offs = off.transpose(2, 0, 1)[..., None]
-        r = (diag.T[:, None, :, None] - values) * v
-        r[1:] += offs * v[:-1]
-        r[:-1] += offs * v[1:]
-        squares = np.sum(diag * diag) + 2.0 * np.sum((off * off).reshape(len(off), -1), axis=1)
+        # entries past the float range leave inf and nan residuals, which
+        # _check_residuals rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            offs = off.transpose(2, 0, 1)[..., None]
+            r = (diag.T[:, None, :, None] - values) * v
+            r[1:] += offs * v[:-1]
+            r[:-1] += offs * v[1:]
+            self.residual = np.sqrt(np.max(np.sum(r * r, axis=0), axis=(1, 2)))
+            squares = np.sum(diag * diag) + 2.0 * np.sum((off * off).reshape(len(off), -1), axis=1)
         top = np.argmax(np.abs(v), axis=0)
         point = np.arange(len(off))[:, None, None]
         chain = np.arange(len(diag))[:, None]
@@ -388,7 +393,6 @@ class _Chains:
         self.rows, self.labels, self.values = rows, labels, values
         self.vectors = v * np.where(lead < 0.0, -1.0, 1.0)
         self.dominant = rows[chain, top]
-        self.residual = np.sqrt(np.max(np.sum(r * r, axis=0), axis=(1, 2)))
         self.threshold = tol * np.sqrt(squares)
 
 

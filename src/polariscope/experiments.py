@@ -192,6 +192,36 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def _sweep_tables(
+    grid: SweepGrid, n_max: int, k_states: int, tol: float
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The grid's couplings and one read-only table per SweepRow field,
+    with one row per grid point (see ``run_sweep``)."""
+    k_states = _check_k_states(k_states)
+    if n_max < k_states:
+        raise ValidationError(
+            f"n_max={n_max} must be at least k_states={k_states} so the "
+            "tracked states are resolved"
+        )
+    _check_tol(tol)
+    basis = build_basis(n_max)
+    params = grid.params_base
+    lams = grid.values()
+    levels = k_states + 1
+    tables, curves = {}, {}
+    for chunk, full in _rabi_chunks(params, lams, basis, levels, 2 * basis.dim * levels, tol):
+        rwa = _rwa_chains(params, lams[chunk], basis, tol)
+        _check_residuals(lams[chunk], full, rwa)
+        for model, chains in (("full", full), ("rwa", rwa)):
+            fields = _model_columns(model, chains, basis, params, curves, k_states)
+            for name, values in fields.items():
+                table = tables.setdefault(name, np.empty((lams.size, *values.shape[1:])))
+                table[chunk] = values
+    for table in tables.values():
+        table.setflags(write=False)
+    return lams, tables
+
+
 def run_sweep(
     grid: SweepGrid,
     n_max: int = 14,
@@ -207,44 +237,23 @@ def run_sweep(
     order attached.
 
     The grid is solved in chunks of consecutive points, each in array passes
-    over the whole chunk, and each row's arrays are read-only views of one
-    table per field.  Of the full Hamiltonian only the lowest k_states + 1
-    levels of each parity chain are solved; they hold every level a row
-    reads.  A level of chain rank r > k_states sorts after its r lower
-    chain-mates, whose energies are distinct for lam > 0; at lam = 0 a tie
-    can put one mate after it, but then the lowest level of the other
-    chain, below every level but the lowest of either chain, sorts before
-    it.
+    over the whole chunk, into one table per field; each row's arrays are
+    read-only views of those tables.  Of the full Hamiltonian only the
+    lowest k_states + 1 levels of each parity chain are solved; they hold
+    every level a row reads.  A level of chain rank r > k_states sorts
+    after its r lower chain-mates, whose energies are distinct for lam > 0;
+    at lam = 0 a tie can put one mate after it, but then the lowest level
+    of the other chain, below every level but the lowest of either chain,
+    sorts before it.
     """
-    k_states = _check_k_states(k_states)
-    if n_max < k_states:
-        raise ValidationError(
-            f"n_max={n_max} must be at least k_states={k_states} so the "
-            "tracked states are resolved"
-        )
-    _check_tol(tol)
-    basis = build_basis(n_max)
-    params = grid.params_base
-    lams = grid.values()
-    levels = k_states + 1
-    columns, curves = {}, {}
-    for chunk, full in _rabi_chunks(params, lams, basis, levels, 2 * basis.dim * levels, tol):
-        rwa = _rwa_chains(params, lams[chunk], basis, tol)
-        _check_residuals(lams[chunk], full, rwa)
-        for model, chains in (("full", full), ("rwa", rwa)):
-            fields = _model_columns(model, chains, basis, params, curves, k_states)
-            for name, values in fields.items():
-                table = columns.setdefault(name, np.empty((lams.size, *values.shape[1:])))
-                table[chunk] = values
-    for table in columns.values():
-        table.setflags(write=False)
+    lams, tables = _sweep_tables(grid, n_max, k_states, tol)
     cells = {
-        name: table.tolist() if table.ndim == 1 else table for name, table in columns.items()
+        name: table.tolist() if table.ndim == 1 else table for name, table in tables.items()
     }
     return [
         SweepRow(
             lam=lam,
-            regime=classify_regime(lam, params.omega_c),
+            regime=classify_regime(lam, grid.params_base.omega_c),
             **{name: values[i] for name, values in cells.items()},
         )
         for i, lam in enumerate(lams.tolist())
@@ -325,38 +334,33 @@ def sweep_datasets(
     fig2: lowest-K energies of both Hamiltonians vs coupling;
     fig3: transition frequencies and the splitting of the lowest pair;
     fig4_left / fig4_right: photon number / atomic energy per state.
+
+    Each dataset's columns are the tables of ``run_sweep``'s fields side by
+    side in ``_COLUMNS`` order, turned into plain floats in one pass; the
+    cells are those of ``run_sweep``'s rows, bit for bit.
     """
-    rows = run_sweep(grid, n_max, k_states, tol=tol)
-    specs: dict[str, list] = {}
+    lams, tables = _sweep_tables(grid, n_max, k_states, tol)
+    layout: dict[str, tuple[list[str], list[np.ndarray]]] = {}
     for name, stem, field, labelings, first in _COLUMNS:
-        specs.setdefault(name, []).extend(
-            (f"{stem}_{model}{labeling}", f"{field}_{model}{labeling}", first)
-            for labeling in labelings
-            for model in _MODELS
-        )
-    specs["fig2"].append(("regime", "regime", None))
+        names, parts = layout.setdefault(name, (["lambda"], [lams]))
+        for labeling in labelings:
+            for model in _MODELS:
+                column = f"{stem}_{model}{labeling}"
+                table = tables[f"{field}_{model}{labeling}"]
+                parts.append(table)
+                if first is None:
+                    names.append(column)
+                else:
+                    names += [f"{column}_{i}" for i in range(first, first + table.shape[1])]
+    regimes = [classify_regime(lam, grid.params_base.omega_c) for lam in lams.tolist()]
     datasets = {}
-    for name, spec in specs.items():
-        columns = ["lambda"]
-        for stem, field, first in spec:
-            if first is None:
-                columns.append(stem)
-            else:
-                size = len(getattr(rows[0], field))
-                columns += [f"{stem}_{i}" for i in range(first, first + size)]
-        table = tuple((row.lam, *_cells(row, spec)) for row in rows)
-        datasets[name] = Dataset(name=name, columns=tuple(columns), rows=table)
+    for name, (names, parts) in layout.items():
+        rows = np.column_stack(parts).tolist()
+        if name == "fig2":
+            names.append("regime")
+            rows = [(*row, regime) for row, regime in zip(rows, regimes)]
+        datasets[name] = Dataset(name=name, columns=tuple(names), rows=tuple(map(tuple, rows)))
     return datasets
-
-
-def _cells(row: SweepRow, spec):
-    """The values of ``row`` under ``spec``'s columns, in column order."""
-    for _, field, first in spec:
-        value = getattr(row, field)
-        if first is None:
-            yield value
-        else:
-            yield from value
 
 
 def absorption_dataset(

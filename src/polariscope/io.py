@@ -46,69 +46,58 @@ def atomic_write(path):
         raise
 
 
+def _native(value):
+    """The plain Python value a cell is written as: an enum's label, a
+    numpy scalar's ``item()``, or a str, int or float as it is."""
+    if isinstance(value, Enum):
+        return str(value)
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, (str, int, float)):
+        return value
+    raise SchemaMismatch(f"cannot write value of type {type(value).__name__}")
+
+
 def format_value(value) -> str:
     """Render one cell: shortest round-trip decimals for floats, labels for
     enums, and plain text otherwise."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, Enum):
-        return str(value)
-    if isinstance(value, (bool, np.bool_)):
+    value = _native(value)
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        # float() strips the numpy scalar type so repr() is the shortest
-        # round-trip decimal form rather than "np.float64(...)".
-        return repr(float(value))
-    raise SchemaMismatch(f"cannot format value of type {type(value).__name__}")
-
-
-def _json_value(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, Enum):
-        return str(value)
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    raise SchemaMismatch(f"cannot serialize value of type {type(value).__name__}")
+    # repr() of a float is its shortest round-trip decimal form
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def emit_dataset(rows, schema, fmt: str = "csv", path=None) -> Path:
     """Write rows under a column schema as CSV or JSON.
 
-    Every row must have exactly one value per schema column
-    (SchemaMismatch otherwise).  Returns the written path.
+    Every row must have exactly one value per schema column; each row is
+    checked as it is written, and a failed check raises SchemaMismatch with
+    ``path`` left as it was (see ``atomic_write``).  Returns the written
+    path.
     """
     if fmt not in FORMATS:
         raise UsageError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if path is None:
         raise UsageError("emit_dataset needs an output path")
     schema = list(schema)
-    materialized = []
-    for i, row in enumerate(rows):
-        row = tuple(row)
-        if len(row) != len(schema):
-            raise SchemaMismatch(
-                f"row {i} has {len(row)} fields, schema has {len(schema)}"
-            )
-        materialized.append(row)
     path = Path(path)
     with atomic_write(path) as fh:
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(schema)
-            for row in materialized:
+        payload = []
+        for i, row in enumerate(rows):
+            row = tuple(row)
+            if len(row) != len(schema):
+                raise SchemaMismatch(
+                    f"row {i} has {len(row)} fields, schema has {len(schema)}"
+                )
+            if fmt == "csv":
                 writer.writerow([format_value(v) for v in row])
-        else:
-            payload = [
-                {name: _json_value(v) for name, v in zip(schema, row)}
-                for row in materialized
-            ]
+            else:
+                payload.append({name: _native(v) for name, v in zip(schema, row)})
+        if fmt == "json":
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return path

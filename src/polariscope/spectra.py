@@ -109,8 +109,11 @@ def _rabi_chain_arrays(
     ``lams`` (p,)."""
     m = basis.n_max + 1
     rows = basis.parity_chains
-    diag = bare_energies(params, basis)[rows]
-    off = lams[:, None, None] * np.broadcast_to(np.sqrt(np.arange(1.0, m)), (2, m - 1))
+    # energies past the largest float become inf, which the residual check
+    # rejects
+    with np.errstate(over="ignore"):
+        diag = bare_energies(params, basis)[rows]
+        off = lams[:, None, None] * np.broadcast_to(np.sqrt(np.arange(1.0, m)), (2, m - 1))
     return rows, diag, off
 
 
@@ -128,7 +131,7 @@ def _rabi_pairs(
 
     At the points ``zero`` (lam = 0) the chains are diagonal: ``values`` is
     overwritten there with the exact sorted diagonal and the eigenvectors
-    are basis states (see ``solve_rabi_grid``).  Elsewhere they come from
+    are basis states (see ``solve_rabi``).  Elsewhere they come from
     inverse iteration.
     """
     m, levels = diag.shape[-1], values.shape[-1]
@@ -209,44 +212,26 @@ def _rabi_ladder(
     return energies
 
 
-def solve_rabi_grid(
-    params: ModelParams, lams, basis: FockBasis, *, tol: float = DEFAULT_TOL
-) -> Iterator[EigenSystem]:
-    """Eigensystems of the full Hamiltonian at each coupling of ``lams``.
-
-    The ``lam`` field of ``params`` is ignored.  Eigenvalues for the whole
-    grid come from one batched bisection when iteration starts; the
-    eigenvectors are computed in array passes over chunks of consecutive
-    points as the iterator reaches them, so at most one chunk's
-    eigenvectors are held at a time.  Each point keeps its own spectral
-    radius, so its result has the same bits as a single-point call.
+def solve_rabi(
+    params: ModelParams, basis: FockBasis, *, tol: float = DEFAULT_TOL
+) -> EigenSystem:
+    """Eigensystem of ``build_rabi_hamiltonian(params, basis)`` from its two
+    parity chains, without forming the matrix.
 
     At lam = 0 the chains are diagonal and each eigenvector is a basis
     state; a tie within a chain is ranked as a small coupling splits it at
     resonance, the state with more photons lower.
 
     ``tol`` keeps its Jacobi meaning as a bound relative to ``||H||_F``: a
-    point whose worst eigenpair residual ``||Hv - Ev||`` exceeds
-    ``tol * ||H||_F`` raises NonConvergence with its coupling attached,
-    once the iterator reaches that point's chunk.
+    worst eigenpair residual ``||Hv - Ev||`` above ``tol * ||H||_F`` raises
+    NonConvergence with the coupling attached.
     """
     _check_tol(tol)
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 1 or not np.all(np.isfinite(lams) & (lams >= 0)):
-        raise ValidationError("couplings must be a 1-D array of finite values >= 0")
+    lams = np.array([params.lam])
     m = basis.n_max + 1
-    for chunk, chains in _rabi_chunks(params, lams, basis, m, 2 * m * m, tol):
-        _check_residuals(lams[chunk], chains)
-        for point in range(chains.residual.size):
-            yield _point_system(basis, chains, point, INVERSE_STEPS)
-
-
-def solve_rabi(
-    params: ModelParams, basis: FockBasis, *, tol: float = DEFAULT_TOL
-) -> EigenSystem:
-    """Eigensystem of ``build_rabi_hamiltonian(params, basis)`` from its two
-    parity chains, without forming the matrix.  See ``solve_rabi_grid``."""
-    return next(solve_rabi_grid(params, [params.lam], basis, tol=tol))
+    [(_, chains)] = _rabi_chunks(params, lams, basis, m, 1, tol)
+    _check_residuals(lams, chains)
+    return _point_system(basis, chains, 0, INVERSE_STEPS)
 
 
 def _rwa_chains(
@@ -264,20 +249,22 @@ def _rwa_chains(
     n = np.arange(basis.n_max + 1)
     rows = np.stack([2 * n - 1, 2 * n], axis=1)
     rows[0] = 0, basis.dim - 1
-    diag = bare_energies(params, basis)[rows]
-    off = lams[:, None, None] * np.sqrt(n[:, None].astype(float))
-    coupled = off[..., 0] != 0.0
-    half_gap = np.broadcast_to(0.5 * (diag[:, 1] - diag[:, 0]), coupled.shape)
-    with np.errstate(over="ignore"):  # an infinite theta gives t = 0
+    # an infinite theta gives t = 0; energies past the largest float leave
+    # inf and nan, which the residual check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = bare_energies(params, basis)[rows]
+        off = lams[:, None, None] * np.sqrt(n[:, None].astype(float))
+        coupled = off[..., 0] != 0.0
+        half_gap = np.broadcast_to(0.5 * (diag[:, 1] - diag[:, 0]), coupled.shape)
         theta = half_gap[coupled] / off[..., 0][coupled]
-    # math.hypot, as in _rotation: numpy's hypot rounds differently in about
-    # one call in a thousand
-    root = np.array([math.hypot(x, 1.0) for x in theta.tolist()])
-    t = np.zeros(coupled.shape)
-    t[coupled] = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + root)
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-    values = diag + np.stack([-t, t], axis=-1) * off
+        # math.hypot, as in _rotation: numpy's hypot rounds differently in
+        # about one call in a thousand
+        root = np.array([math.hypot(x, 1.0) for x in theta.tolist()])
+        t = np.zeros(coupled.shape)
+        t[coupled] = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + root)
+        c = 1.0 / np.sqrt(t * t + 1.0)
+        s = t * c
+        values = diag + np.stack([-t, t], axis=-1) * off
     v = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)])
     labels = np.where(diag[:, 1:] < diag[:, :1], rows[:, ::-1], rows)
     return _Chains(rows, labels, tol, diag, off, values, v)
@@ -288,7 +275,7 @@ def solve_rwa(
 ) -> EigenSystem:
     """Eigensystem of ``build_rwa_hamiltonian(params, basis)`` in closed form,
     from its 2x2 excitation blocks (see ``_rwa_chains``).  ``tol`` is
-    checked as in ``solve_rabi_grid``.
+    checked as in ``solve_rabi``.
     """
     _check_tol(tol)
     lams = np.array([params.lam])

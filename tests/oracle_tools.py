@@ -7,7 +7,9 @@ from Gershgorin discs, the extremal eigenvalue from plain bisection on the
 count function, and state tracking across a sweep from eigenvector overlaps
 instead of the symmetry labels the library tracks by.  ``sweep_rows``
 builds the rows of ``run_sweep`` one grid point at a time from whole
-eigensystems, the reference for the batched row assembly.
+eigensystems, the reference for the batched row assembly, and
+``datasets_from_rows`` reads the sweep datasets out of such rows cell by
+cell, the reference for the table assembly of ``sweep_datasets``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import scipy.linalg
 
 import polariscope as ps
 from polariscope import EigenSystem, Parity, ValidationError
+from polariscope.experiments import _COLUMNS, _MODELS
 
 #: Minimum eigenvector overlap for an unambiguous tracking step.
 OVERLAP_MIN = 2.0**-0.5
@@ -178,11 +181,48 @@ def sweep_rows(grid: ps.SweepGrid, n_max: int = 14, k_states: int = 7) -> list[p
     lams = grid.values()
     rows = []
     curves_full = curves_rwa = None
-    for lam, eig_full in zip(lams, ps.solve_rabi_grid(grid.params_base, lams, basis)):
+    for lam in lams:
         params = grid.params_base.with_lambda(float(lam))
+        eig_full = ps.solve_rabi(params, basis)
         eig_rwa = ps.solve_rwa(params, basis)
         if curves_full is None:
             curves_full = eig_full.labels[:k_states]
             curves_rwa = eig_rwa.labels[:k_states]
         rows.append(_make_row(params, eig_full, eig_rwa, curves_full, curves_rwa, k_states))
     return rows
+
+
+def _cells(row: ps.SweepRow, spec):
+    """The values of ``row`` under ``spec``'s columns, in column order."""
+    for _, field, first in spec:
+        value = getattr(row, field)
+        if first is None:
+            yield value
+        else:
+            yield from value
+
+
+def datasets_from_rows(rows: list[ps.SweepRow]) -> dict[str, ps.Dataset]:
+    """The datasets of ``sweep_datasets`` read out of ``run_sweep``'s rows,
+    one ``SweepRow`` field at a time, under the column layout
+    ``experiments._COLUMNS`` declares."""
+    specs: dict[str, list] = {}
+    for name, stem, field, labelings, first in _COLUMNS:
+        specs.setdefault(name, []).extend(
+            (f"{stem}_{model}{labeling}", f"{field}_{model}{labeling}", first)
+            for labeling in labelings
+            for model in _MODELS
+        )
+    specs["fig2"].append(("regime", "regime", None))
+    datasets = {}
+    for name, spec in specs.items():
+        columns = ["lambda"]
+        for stem, field, first in spec:
+            if first is None:
+                columns.append(stem)
+            else:
+                size = len(getattr(rows[0], field))
+                columns += [f"{stem}_{i}" for i in range(first, first + size)]
+        table = tuple((row.lam, *_cells(row, spec)) for row in rows)
+        datasets[name] = ps.Dataset(name=name, columns=tuple(columns), rows=table)
+    return datasets

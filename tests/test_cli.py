@@ -333,6 +333,30 @@ def test_main_converge_failure_exits_2_without_runtime_warnings(tmp_path, args, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command, coupling",
+    [
+        ("spectrum", "0.5"),
+        ("sweep", "0"),
+        ("observables", "0"),
+        ("absorption", "0.5"),
+        ("converge", "0.5"),
+    ],
+)
+def test_main_energies_past_the_float_range_exit_2_without_runtime_warnings(
+    tmp_path, command, coupling
+):
+    # omega_c (n + 1/2) overflows to inf within the ladder; the chain
+    # arrays and residuals that carry it print nothing from numpy, and the
+    # residual check rejects the first coupling of the run
+    args = [command, "--omega-c", "1e307", "--lambda", "0.5", "--n-max", "40"]
+    result = _run_module([*args, "--out", str(tmp_path)])
+    assert result.returncode == 2
+    assert f"eigensolver failed to converge at lambda={coupling}:" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("i am a file\n")

@@ -368,14 +368,20 @@ _COUPLINGS = st.lists(
 )
 @example(n_max=8, omega2=1.1, lams=list(np.linspace(0.0, 1.5, 7)), chunk_bytes=2**17)
 @example(n_max=6, omega2=1.0, lams=[0.0, 1e-9, 0.4, 0.0, 1.2], chunk_bytes=1)
-def test_solve_rabi_grid_matches_single_point_solves(n_max, omega2, lams, chunk_bytes):
-    # the grid is inverse-iterated in chunks of points (a single point per
-    # chunk at chunk_bytes=1); each point keeps its own spectral radius, so
-    # chunking changes no bit, at lam = 0 and in tight clusters (lam = 1e-9)
+def test_rabi_chunks_match_single_point_solves(n_max, omega2, lams, chunk_bytes):
+    # run_sweep inverse-iterates its grid in chunks of points (a single point
+    # per chunk at chunk_bytes=1); each point keeps its own spectral radius,
+    # so chunking changes no bit, at lam = 0 and in tight clusters (lam = 1e-9)
     basis = ps.build_basis(n_max)
     base = ModelParams(omega2=omega2)
+    m = n_max + 1
     with mock.patch.object(spectra, "_CHUNK_BYTES", chunk_bytes):
-        systems = list(ps.solve_rabi_grid(base, lams, basis))
+        chunks = list(spectra._rabi_chunks(base, np.array(lams), basis, m, 2 * m * m, 1e-12))
+    systems = [
+        eigensolve._point_system(basis, chains, point, eigensolve.INVERSE_STEPS)
+        for _, chains in chunks
+        for point in range(chains.residual.size)
+    ]
     assert len(systems) == len(lams)
     for lam, eig in zip(lams, systems):
         single = ps.solve_rabi(base.with_lambda(lam), basis)

@@ -373,7 +373,7 @@ def test_label_tracking_matches_overlap_tracking(omega2):
     basis = ps.build_basis(14)
     rows = ps.run_sweep(grid, n_max=14, k_states=7)
     lams = grid.values()
-    full = ps.solve_rabi_grid(grid.params_base, lams, basis)
+    full = (ps.solve_rabi(grid.params_base.with_lambda(lam), basis) for lam in lams)
     rwa = (ps.solve_rwa(grid.params_base.with_lambda(lam), basis) for lam in lams)
     for model, systems in (("full", full), ("rwa", rwa)):
         curves = np.arange(basis.dim)
@@ -417,6 +417,42 @@ def test_run_sweep_rows_equal_the_per_point_builder(omega2):
                 )
             else:
                 assert value == want, (row.lam, field.name)
+
+
+@pytest.mark.parametrize(
+    "grid, n_max, k_states",
+    [
+        *((ps.SweepGrid(params_base=ModelParams(omega2=w)), 14, 7) for w in (0.8, 1.0, 1.2)),
+        (ps.SweepGrid(steps=5, lambda_max=0.8), 6, 5),
+    ],
+    ids=["0.8", "1.0", "1.2", "small"],
+)
+def test_sweep_datasets_equal_the_row_assembly(tmp_path, grid, n_max, k_states):
+    # sweep_datasets reads its cells straight from the sweep tables; they
+    # must be the cells of run_sweep's rows read field by field, with the
+    # same float bits and regimes, and emit to the same bytes
+    datasets = ps.sweep_datasets(grid, n_max, k_states)
+    expected = oracle_tools.datasets_from_rows(ps.run_sweep(grid, n_max, k_states))
+    assert list(datasets) == list(expected)
+    for name, dataset in datasets.items():
+        reference = expected[name]
+        assert dataset.name == reference.name
+        assert dataset.columns == reference.columns
+        assert len(dataset.rows) == len(reference.rows)
+        for row, want in zip(dataset.rows, reference.rows):
+            assert len(row) == len(want) == len(dataset.columns)
+            for value, cell in zip(row, want):
+                if isinstance(cell, Regime):
+                    assert value is cell
+                else:
+                    assert type(value) is float
+                    assert value.hex() == float(cell).hex(), (name, row[0])
+        for fmt in ("csv", "json"):
+            written = [
+                ps.emit_dataset(table.rows, table.columns, fmt, tmp_path / f"{side}.{fmt}")
+                for side, table in (("tables", dataset), ("rows", reference))
+            ]
+            assert written[0].read_bytes() == written[1].read_bytes(), (name, fmt)
 
 
 def test_observable_arrays_match_per_state_functions():

@@ -1,7 +1,12 @@
-"""Source checks that need no linter: every imported name is used."""
+"""Source checks that need no linter: every imported name is used, and
+the README's table of entry points matches the package."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
+
+import polariscope
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,3 +40,29 @@ def test_no_unused_imports():
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == [], "\n".join(unused)
+
+
+def _readme_entry_points() -> set[str]:
+    """The names in the first column of the README's "Key entry points"
+    table."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("Key entry points:")
+    names = set()
+    for line in lines[start + 1 :]:
+        if names and not line.startswith("|"):
+            break
+        if line.startswith("|"):
+            names.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    return names
+
+
+def test_readme_entry_points_match_the_package():
+    listed = _readme_entry_points()
+    assert listed
+    assert sorted(name for name in listed if not hasattr(polariscope, name)) == []
+    functions = {
+        name
+        for name in polariscope.__all__
+        if name[0].islower() and inspect.isfunction(getattr(polariscope, name))
+    }
+    assert sorted(functions - listed) == []

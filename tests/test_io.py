@@ -73,15 +73,35 @@ def test_emit_schema_mismatch(tmp_path):
         ps.emit_dataset([(1.0,)], ("a", "b"), "csv", tmp_path / "bad.csv")
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_failed_emit_keeps_the_existing_file(tmp_path, fmt):
-    # the second row fails to format after the first is written
+@pytest.mark.parametrize(
+    "fmt, bad_row",
+    [
+        pytest.param("csv", (None,), id="csv"),
+        pytest.param("json", (None,), id="json"),
+        pytest.param("csv", (2.0, 3.0), id="csv-length"),
+        pytest.param("json", (2.0, 3.0), id="json-length"),
+    ],
+)
+def test_failed_emit_keeps_the_existing_file(tmp_path, fmt, bad_row):
+    # the second row fails to format, or has the wrong length, after the
+    # first is written
     path = ps.emit_dataset([(1.0,), (2.0,)], ["x"], fmt, tmp_path / f"x.{fmt}")
     before = path.read_bytes()
     with pytest.raises(ps.SchemaMismatch):
-        ps.emit_dataset([(1.0,), (None,)], ["x"], fmt, path)
+        ps.emit_dataset([(1.0,), bad_row], ["x"], fmt, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_emit_json_numpy_scalars(tmp_path):
+    cells = (np.bool_(True), np.int64(-7), np.float32(0.1), np.float64(1.0 / 3.0))
+    path = ps.emit_dataset([cells], ("b", "i", "f32", "f64"), "json", tmp_path / "n.json")
+    text = path.read_text()
+    assert '"b": true' in text
+    assert '"i": -7' in text
+    loaded = json.loads(text)[0]
+    assert loaded == {"b": True, "i": -7, "f32": float(np.float32(0.1)), "f64": 1.0 / 3.0}
+    assert type(loaded["i"]) is int
 
 
 def test_atomic_write_replaces_only_on_success(tmp_path):
