@@ -61,7 +61,6 @@ from .experiments import (
     SweepRow,
     absorption_dataset,
     convergence_study,
-    figure_datasets,
     run_sweep,
     sweep_datasets,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "emit_dataset",
     "emit_plot_script",
     "energy_partition",
-    "figure_datasets",
     "parity_blocks",
     "parse_config_file",
     "photon_number",

@@ -29,7 +29,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import NonConvergence, UsageError, ValidationError
-from .eigensolve import DEFAULT_TOL
+from .eigensolve import DEFAULT_TOL, _check_tol
 from .experiments import (
     Dataset,
     SweepGrid,
@@ -170,8 +170,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_config(argv, config_file=None) -> RunConfig:
-    """Resolve argv (plus an optional config file) into a RunConfig.
+def parse_config(argv) -> RunConfig:
+    """Resolve argv (and the ``--config`` file it names) into a RunConfig.
 
     Precedence is flags > config file > defaults.  Unknown config keys,
     malformed values, and missing/unknown commands raise UsageError;
@@ -179,10 +179,9 @@ def parse_config(argv, config_file=None) -> RunConfig:
     """
     flags = vars(_build_parser().parse_args(list(argv)))
     entries: dict[str, object] = {}
-    cfg_path = config_file if config_file is not None else flags["config"]
-    if cfg_path is not None:
+    if flags["config"] is not None:
         kinds = {setting.key: setting.kind for setting in SETTINGS}
-        for key, text in parse_config_file(cfg_path).items():
+        for key, text in parse_config_file(flags["config"]).items():
             if key not in kinds:
                 raise UsageError(f"unknown config key {key!r}")
             try:
@@ -207,8 +206,7 @@ def parse_config(argv, config_file=None) -> RunConfig:
             raise UsageError(f"unknown {setting.key} {value!r}; expected one of {choices}")
         owner, _, name = setting.field.rpartition(".")
         (model_fields if owner else config_fields)[name] = value
-    if not config_fields["tol"] > 0:
-        raise ValidationError(f"tol must be > 0, got {config_fields['tol']!r}")
+    _check_tol(config_fields["tol"])
     return RunConfig(params=ModelParams(**model_fields), **config_fields)
 
 

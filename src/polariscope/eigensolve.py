@@ -167,14 +167,15 @@ def _jacobi(a: np.ndarray, tol: float, max_sweeps: int):
     )
 
 
-def _sorted_system(values, dominant, parities, arrange, sweeps, residual, labels=None):
+def _sorted_system(values, dominant, parities, vectors, sweeps, residual, labels=None):
     """Read-only EigenSystem sorted by eigenvalue, exact ties by parity (EVEN
     < ODD < MIXED) and then by ``dominant``, the row of each eigenvector's
-    largest component; ``arrange(order)`` returns the eigenvectors in order."""
+    largest component.  The sorted ``vectors`` are a C-ordered copy: BLAS
+    sums ``n @ v**2`` in another order over an F-ordered matrix."""
     rank = [0] * values.size if parities is None else [_PARITY_RANK[p] for p in parities]
     order = np.lexsort((dominant, rank, values))
     values = values[order]
-    vectors = arrange(order)
+    vectors = np.ascontiguousarray(vectors[:, order])
     if parities is not None:
         parities = tuple(parities[i] for i in order)
     if labels is not None:
@@ -252,7 +253,7 @@ def diagonalize(
     dominant = np.argmax(np.abs(v), axis=0)
     v[:, v[dominant, np.arange(v.shape[1])] < 0.0] *= -1.0
     parities = None if basis is None else _tag_parities(v, basis)
-    return _sorted_system(diag, dominant, parities, lambda order: v[:, order], sweeps, off)
+    return _sorted_system(diag, dominant, parities, v, sweeps, off)
 
 
 def _radius(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -291,9 +292,9 @@ def _bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
     bound = 2.0 * _EPS * radius + _TINY
     hi = radius + np.zeros(levels)
     lo = -hi
-    off2 = off * off + _TINY
     index = np.arange(levels)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        off2 = off * off + _TINY
         while (active := hi - lo > bound).any():
             mid = 0.5 * (lo + hi)
             q = diag[..., :1] - mid
@@ -330,11 +331,6 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) ->
     # row-major working layout: [row i, point, chain, eigenvalue k]
     piv = diag.T[:, None, :, None] - values
     off = off.transpose(2, 0, 1)[..., None]
-    for i in range(m):
-        piv[i] = np.where(np.abs(piv[i]) < floor, floor, piv[i])
-        if i < m - 1:
-            piv[i + 1] -= off[i] ** 2 / piv[i]
-    mult = off / piv[:-1]
     close = values[..., 1:] - values[..., :-1] <= _CLUSTER_GAP * radius
     # Generic, distinct start vectors per eigenvalue (multiplicative hashing
     # of the position), so that tied shifts still produce independent
@@ -342,6 +338,11 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) ->
     key = np.arange(m)[:, None, None, None] * 7919 + np.arange(values.shape[-1]) * 104729 + 1
     v = (key * 2654435761 % 2**32) / 2.0**32 - 0.5 + np.zeros((*values.shape[:2], 1))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(m):
+            piv[i] = np.where(np.abs(piv[i]) < floor, floor, piv[i])
+            if i < m - 1:
+                piv[i + 1] -= off[i] ** 2 / piv[i]
+        mult = off / piv[:-1]
         for _ in range(INVERSE_STEPS):
             for i in range(1, m):
                 v[i] -= mult[i - 1] * v[i - 1]
@@ -410,18 +411,13 @@ def _check_residuals(lams: np.ndarray, *models: _Chains) -> None:
 
 def _point_system(basis: FockBasis, chains: _Chains, point: int, sweeps: int) -> EigenSystem:
     """The EigenSystem of one point of chains that hold every eigenpair,
-    each vector written once, into its sorted column."""
+    each vector written once into a dense matrix in chain-major column
+    order, of which ``_sorted_system`` returns a sorted C-ordered copy."""
     rows, dominant = chains.rows, chains.dominant[point].ravel()
-    v = chains.vectors[:, point].transpose(1, 0, 2)
+    vectors = np.zeros((basis.dim, basis.dim))
+    columns = np.arange(dominant.size).reshape(rows.shape[0], -1)
+    vectors[rows[:, :, None], columns[:, None]] = chains.vectors[:, point].transpose(1, 0, 2)
     parities = [Parity.EVEN if s > 0 else Parity.ODD for s in basis.parity_signs[dominant]]
-
-    def place(order):
-        column = np.empty(order.size, dtype=int)
-        column[order] = np.arange(order.size)
-        vectors = np.zeros((basis.dim, basis.dim))
-        vectors[rows[:, :, None], column.reshape(rows.shape)[:, None]] = v
-        return vectors
-
     values, labels = chains.values[point].ravel(), chains.labels.ravel()
     residual = float(chains.residual[point])
-    return _sorted_system(values, dominant, parities, place, sweeps, residual, labels)
+    return _sorted_system(values, dominant, parities, vectors, sweeps, residual, labels)

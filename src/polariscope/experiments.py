@@ -24,7 +24,6 @@ from .eigensolve import DEFAULT_TOL, _check_residuals, _check_tol
 from .model import ModelParams, _check_n_max, build_basis
 from .observables import _observable_arrays
 from .spectra import (
-    DEFAULT_LINE_THRESHOLD,
     Regime,
     _rabi_chunks,
     _rabi_ladder,
@@ -138,10 +137,10 @@ def _model_columns(model, chains, basis, params, curves, k):
     selection makes the lowest dipole-allowed lines.  The RWA's are the
     one-excitation polaritons (labels 1 and 2) seen from |g,0> (label 0);
     past lam = omega_c the lower one is negative, the RWA pathology.
-    Photon numbers come from the basis-ordered product a whole eigenvector
-    matrix gives, because BLAS sums it over basis rows in groups of four
-    with fused multiply-adds; the wanted columns are padded to a multiple
-    of four, which BLAS treats alike.
+    Photon numbers come from the basis-ordered product a whole C-ordered
+    eigenvector matrix gives (see ``_sorted_system``), because BLAS sums it
+    over basis rows in groups of four with fused multiply-adds; the wanted
+    columns are padded to a multiple of four, which BLAS treats alike.
     """
     points = len(chains.values)
     values = chains.values.reshape(points, -1)
@@ -209,7 +208,7 @@ def _sweep_tables(
     lams = grid.values()
     levels = k_states + 1
     tables, curves = {}, {}
-    for chunk, full in _rabi_chunks(params, lams, basis, levels, 2 * basis.dim * levels, tol):
+    for chunk, full in _rabi_chunks(params, lams, basis, levels, tol):
         rwa = _rwa_chains(params, lams[chunk], basis, tol)
         _check_residuals(lams[chunk], full, rwa)
         for model, chains in (("full", full), ("rwa", rwa)):
@@ -367,11 +366,11 @@ def absorption_dataset(
     params: ModelParams,
     n_max: int = 14,
     *,
-    threshold: float = DEFAULT_LINE_THRESHOLD,
     hermitian: bool = False,
     tol: float = DEFAULT_TOL,
 ) -> Dataset:
-    """Absorption sticks of both Hamiltonians at one coupling (fig5)."""
+    """Absorption sticks of both Hamiltonians at one coupling (fig5), lines
+    above ``DEFAULT_LINE_THRESHOLD`` of the strongest."""
     basis = build_basis(n_max)
     columns = (
         "model",
@@ -384,7 +383,7 @@ def absorption_dataset(
     rows = []
     for model_name, solve in (("full", solve_rabi), ("rwa", solve_rwa)):
         eig = solve(params, basis, tol=tol)
-        for line in absorption_lines(eig, basis, threshold, hermitian=hermitian):
+        for line in absorption_lines(eig, basis, hermitian=hermitian):
             rows.append(
                 (
                     model_name,
@@ -396,26 +395,3 @@ def absorption_dataset(
                 )
             )
     return Dataset(name="fig5", columns=columns, rows=tuple(rows))
-
-
-def figure_datasets(
-    grid: SweepGrid,
-    n_max: int = 14,
-    k_states: int = 7,
-    *,
-    fig5_lambda: float = 0.5,
-    threshold: float = DEFAULT_LINE_THRESHOLD,
-    hermitian: bool = False,
-    tol: float = DEFAULT_TOL,
-) -> dict[str, Dataset]:
-    """All five figure-ready datasets: the sweep tables plus the absorption
-    sticks at ``fig5_lambda``."""
-    datasets = sweep_datasets(grid, n_max, k_states, tol=tol)
-    datasets["fig5"] = absorption_dataset(
-        grid.params_base.with_lambda(fig5_lambda),
-        n_max,
-        threshold=threshold,
-        hermitian=hermitian,
-        tol=tol,
-    )
-    return datasets

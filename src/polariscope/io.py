@@ -68,7 +68,7 @@ def format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def emit_dataset(rows, schema, fmt: str = "csv", path=None) -> Path:
+def emit_dataset(rows, schema, fmt: str, path) -> Path:
     """Write rows under a column schema as CSV or JSON.
 
     Every row must have exactly one value per schema column; each row is
@@ -78,8 +78,6 @@ def emit_dataset(rows, schema, fmt: str = "csv", path=None) -> Path:
     """
     if fmt not in FORMATS:
         raise UsageError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    if path is None:
-        raise UsageError("emit_dataset needs an output path")
     schema = list(schema)
     path = Path(path)
     with atomic_write(path) as fh:

@@ -42,6 +42,7 @@ from .eigensolve import (
     _check_tol,
     _inverse_iteration,
     _point_system,
+    _rotation,
 )
 from .model import FockBasis, ModelParams, bare_energies, build_basis
 
@@ -150,20 +151,21 @@ def _rabi_chunks(
     lams: np.ndarray,
     basis: FockBasis,
     levels: int,
-    floats_per_point: int,
     tol: float,
 ) -> Iterator[tuple[slice, _Chains]]:
     """``_Chains`` of the lowest ``levels`` eigenpairs of both parity chains
     of the full Hamiltonian, for consecutive chunks of the grid ``lams``,
-    each short enough that an array of ``floats_per_point`` floats per
-    point stays within ``_CHUNK_BYTES``.  Yields (chunk slice, chains).
+    each short enough that its C-ordered dense eigenvector columns in a
+    sweep, 2 * dim * levels floats per point (see
+    ``experiments._model_columns``), stay within ``_CHUNK_BYTES``.  Yields
+    (chunk slice, chains).
 
     Bisection runs over the whole grid at once, since its arrays hold no
     chain rows.
     """
     rows, diag, off = _rabi_chain_arrays(params, lams, basis)
     values = _bisect(diag, off, levels)
-    size = max(1, _CHUNK_BYTES // (8 * floats_per_point))
+    size = max(1, _CHUNK_BYTES // (8 * 2 * basis.dim * levels))
     for start in range(0, lams.size, size):
         chunk = slice(start, start + size)
         pairs = _rabi_pairs(rows, diag, off[chunk], values[chunk], lams[chunk] == 0.0, tol)
@@ -228,8 +230,7 @@ def solve_rabi(
     """
     _check_tol(tol)
     lams = np.array([params.lam])
-    m = basis.n_max + 1
-    [(_, chains)] = _rabi_chunks(params, lams, basis, m, 1, tol)
+    [(_, chains)] = _rabi_chunks(params, lams, basis, basis.n_max + 1, tol)
     _check_residuals(lams, chains)
     return _point_system(basis, chains, 0, INVERSE_STEPS)
 
@@ -240,30 +241,26 @@ def _rwa_chains(
     """Every eigenpair of the rotating-wave Hamiltonian at each coupling of
     the chunk ``lams``, as chains of length 2, one per excitation block.
 
-    Each block n = 1..n_max over (|e,n-1>, |g,n>) is one Jacobi rotation,
-    the one ``diagonalize`` applies to the matrix, so both give the same
-    bits; block 0 pairs the uncoupled |g,0> and |e,n_max>.  The minus branch
-    of a block is |e,n-1>'s rotation when |g,n> lies at least as high, which
-    also fixes the branches of a tie at lam = 0.
+    Each coupled block n = 1..n_max over (|e,n-1>, |g,n>) is turned by
+    ``_rotation``, as ``diagonalize`` turns the matrix, so both give the
+    same bits; uncoupled blocks, block 0 (|g,0>, |e,n_max>) among them, keep
+    t = 0.  The minus branch of a block is |e,n-1>'s rotation when |g,n>
+    lies at least as high, which also fixes the branches of a tie at lam = 0.
     """
     n = np.arange(basis.n_max + 1)
     rows = np.stack([2 * n - 1, 2 * n], axis=1)
     rows[0] = 0, basis.dim - 1
-    # an infinite theta gives t = 0; energies past the largest float leave
-    # inf and nan, which the residual check rejects
+    # energies past the largest float leave inf and nan, which the residual
+    # check rejects
     with np.errstate(over="ignore", invalid="ignore"):
         diag = bare_energies(params, basis)[rows]
         off = lams[:, None, None] * np.sqrt(n[:, None].astype(float))
-        coupled = off[..., 0] != 0.0
-        half_gap = np.broadcast_to(0.5 * (diag[:, 1] - diag[:, 0]), coupled.shape)
-        theta = half_gap[coupled] / off[..., 0][coupled]
-        # math.hypot, as in _rotation: numpy's hypot rounds differently in
-        # about one call in a thousand
-        root = np.array([math.hypot(x, 1.0) for x in theta.tolist()])
-        t = np.zeros(coupled.shape)
-        t[coupled] = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + root)
-        c = 1.0 / np.sqrt(t * t + 1.0)
-        s = t * c
+        pairs = np.broadcast_to(diag, (*off.shape[:2], 2))
+        rotations = [
+            _rotation(app, aqq, apq) if apq != 0.0 else (0.0, 1.0, 0.0)
+            for (app, aqq), apq in zip(pairs.reshape(-1, 2).tolist(), off.ravel().tolist())
+        ]
+        t, c, s = np.reshape(rotations, (*off.shape[:2], 3)).transpose(2, 0, 1)
         values = diag + np.stack([-t, t], axis=-1) * off
     v = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)])
     labels = np.where(diag[:, 1:] < diag[:, :1], rows[:, ::-1], rows)

@@ -7,12 +7,15 @@ from Gershgorin discs, the extremal eigenvalue from plain bisection on the
 count function, and state tracking across a sweep from eigenvector overlaps
 instead of the symmetry labels the library tracks by.  ``sweep_rows``
 builds the rows of ``run_sweep`` one grid point at a time from whole
-eigensystems, the reference for the batched row assembly, and
-``datasets_from_rows`` reads the sweep datasets out of such rows cell by
-cell, the reference for the table assembly of ``sweep_datasets``.
+eigensystems (``point_systems``, shared between tests), the reference for
+the batched row assembly, and ``datasets_from_rows`` reads the sweep
+datasets out of such rows cell by cell, the reference for the table
+assembly of ``sweep_datasets``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -173,18 +176,27 @@ def _make_row(params, eig_full, eig_rwa, curves_full, curves_rwa, k) -> ps.Sweep
     )
 
 
+@functools.cache
+def point_systems(
+    grid: ps.SweepGrid, n_max: int
+) -> tuple[tuple[EigenSystem, EigenSystem], ...]:
+    """``(solve_rabi, solve_rwa)`` at each point of ``grid``, solved once per
+    test session: the eigensystems are read-only, so tests share them."""
+    basis = ps.build_basis(n_max)
+    return tuple(
+        (ps.solve_rabi(params, basis), ps.solve_rwa(params, basis))
+        for params in (grid.params_base.with_lambda(float(lam)) for lam in grid.values())
+    )
+
+
 def sweep_rows(grid: ps.SweepGrid, n_max: int = 14, k_states: int = 7) -> list[ps.SweepRow]:
     """The rows of ``run_sweep(grid, n_max, k_states)``, each built from the
     whole eigensystems of its grid point: the sorted columns, the two lowest
     odd levels for the full peaks, and each tracked curve found by label."""
-    basis = ps.build_basis(n_max)
-    lams = grid.values()
     rows = []
     curves_full = curves_rwa = None
-    for lam in lams:
+    for lam, (eig_full, eig_rwa) in zip(grid.values(), point_systems(grid, n_max)):
         params = grid.params_base.with_lambda(float(lam))
-        eig_full = ps.solve_rabi(params, basis)
-        eig_rwa = ps.solve_rwa(params, basis)
         if curves_full is None:
             curves_full = eig_full.labels[:k_states]
             curves_rwa = eig_rwa.labels[:k_states]

@@ -272,7 +272,8 @@ def test_criterion_8_structural_exactness(record, tmp_path):
     for run in ("a", "b"):
         out = tmp_path / run
         out.mkdir()
-        datasets = ps.figure_datasets(grid, n_max=10, k_states=7)
+        datasets = ps.sweep_datasets(grid, n_max=10, k_states=7)
+        datasets["fig5"] = ps.absorption_dataset(grid.params_base.with_lambda(0.5), n_max=10)
         blobs = []
         for name in sorted(datasets):
             p = ps.emit_dataset(

@@ -357,6 +357,29 @@ def test_main_energies_past_the_float_range_exit_2_without_runtime_warnings(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args, coupling",
+    [
+        (["spectrum", "--lambda", "1e307"], "1e+307"),
+        (["converge", "--lambda", "1e307"], "1e+307"),
+        (["absorption", "--lambda", "1e307"], "1e+307"),
+        (["sweep", "--lambda-max", "1e307", "--steps", "3"], "5e+306"),
+        (["observables", "--lambda-max", "1e307", "--steps", "3"], "5e+306"),
+    ],
+)
+def test_main_couplings_past_the_float_range_exit_2_without_runtime_warnings(
+    tmp_path, args, coupling
+):
+    # lam**2 overflows in the Sturm count and in the LDL^T pivots of
+    # inverse iteration; neither may print anything from numpy, and the
+    # residual check rejects the first such coupling of the run
+    result = _run_module([*args, "--out", str(tmp_path)])
+    assert result.returncode == 2
+    assert f"eigensolver failed to converge at lambda={coupling}:" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("i am a file\n")

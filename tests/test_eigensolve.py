@@ -162,6 +162,19 @@ def test_output_arrays_read_only():
         eig.eigenvectors[0, 0] = 9.0
 
 
+def test_eigenvectors_are_c_contiguous():
+    # the observables' BLAS products sum in a layout-dependent order, so
+    # every solver hands back the same (C) layout
+    basis = ps.build_basis(4)
+    params = ModelParams(lam=0.5)
+    for eig in (
+        ps.solve_rabi(params, basis),
+        ps.solve_rwa(params, basis),
+        ps.diagonalize(ps.build_rabi_hamiltonian(params, basis), basis),
+    ):
+        assert eig.eigenvectors.flags.c_contiguous
+
+
 def test_nonconvergence_raises_with_residual():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ps.NonConvergence) as info:
@@ -376,7 +389,7 @@ def test_rabi_chunks_match_single_point_solves(n_max, omega2, lams, chunk_bytes)
     base = ModelParams(omega2=omega2)
     m = n_max + 1
     with mock.patch.object(spectra, "_CHUNK_BYTES", chunk_bytes):
-        chunks = list(spectra._rabi_chunks(base, np.array(lams), basis, m, 2 * m * m, 1e-12))
+        chunks = list(spectra._rabi_chunks(base, np.array(lams), basis, m, 1e-12))
     systems = [
         eigensolve._point_system(basis, chains, point, eigensolve.INVERSE_STEPS)
         for _, chains in chunks
@@ -407,8 +420,8 @@ def test_lowest_levels_agree_with_the_full_solve(n_max, levels, omega2, lams):
     basis = ps.build_basis(n_max)
     base = ModelParams(omega2=omega2)
     lams = np.array(lams)
-    [(_, part)] = spectra._rabi_chunks(base, lams, basis, levels, 1, 1e-12)
-    [(_, full)] = spectra._rabi_chunks(base, lams, basis, n_max + 1, 1, 1e-12)
+    [(_, part)] = spectra._rabi_chunks(base, lams, basis, levels, 1e-12)
+    [(_, full)] = spectra._rabi_chunks(base, lams, basis, n_max + 1, 1e-12)
     for name in ("values", "vectors", "dominant"):
         shared = getattr(full, name)[..., :levels]
         assert getattr(part, name).tobytes() == np.ascontiguousarray(shared).tobytes()

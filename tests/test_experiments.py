@@ -340,12 +340,6 @@ def test_absorption_dataset_contents():
     assert len(full_rows) >= 4
 
 
-def test_figure_datasets_includes_all_five():
-    grid = ps.SweepGrid(steps=3, lambda_max=0.6)
-    datasets = ps.figure_datasets(grid, n_max=5, k_states=4)
-    assert set(datasets) == {"fig2", "fig3", "fig4_left", "fig4_right", "fig5"}
-
-
 def test_fig3_peaks_match_rwa_at_small_coupling(default_sweep):
     for target in (0.2, 0.4):
         row = next(r for r in default_sweep if abs(r.lam - target) < 1e-12)
@@ -372,9 +366,7 @@ def test_label_tracking_matches_overlap_tracking(omega2):
     grid = ps.SweepGrid(params_base=ModelParams(omega2=omega2))
     basis = ps.build_basis(14)
     rows = ps.run_sweep(grid, n_max=14, k_states=7)
-    lams = grid.values()
-    full = (ps.solve_rabi(grid.params_base.with_lambda(lam), basis) for lam in lams)
-    rwa = (ps.solve_rwa(grid.params_base.with_lambda(lam), basis) for lam in lams)
+    full, rwa = zip(*oracle_tools.point_systems(grid, 14))
     for model, systems in (("full", full), ("rwa", rwa)):
         curves = np.arange(basis.dim)
         prev = None
