@@ -6,6 +6,14 @@ point, and shortest round-trip float formatting; JSON output is an array of
 objects with the same field names and values.  Identical input always
 produces identical bytes.
 
+A plain ``float`` cell (``type(v) is float``; ``numpy.float64`` subclasses
+float but has its own repr) is written as its ``repr``, memoized per file.
+The memo is exact: equal floats have equal bits, and so the same repr,
+except 0.0 and -0.0, which are never stored; NaN equals nothing, and every
+NaN is written ``nan``.  Other cells go through ``format_value``, and a
+row whose text needs CSV quoting is written by ``csv.writer``, so every row
+has the bytes ``csv.writer`` gives its ``format_value`` cells.
+
 Plot scripts are standalone matplotlib programs written next to the data;
 the package itself never renders anything.
 """
@@ -49,6 +57,8 @@ def atomic_write(path):
 def _native(value):
     """The plain Python value a cell is written as: an enum's label, a
     numpy scalar's ``item()``, or a str, int or float as it is."""
+    if type(value) is float:
+        return value
     if isinstance(value, Enum):
         return str(value)
     if isinstance(value, np.generic):
@@ -68,6 +78,35 @@ def format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+# Characters for which csv.writer may quote a field (CR only on some Python
+# versions); a row holding one goes through csv.writer itself.
+_CSV_QUOTED = (",", '"', "\r", "\n")
+
+
+def _write_csv_row(fh, writer, row, texts: dict[float, str]) -> None:
+    """Write ``row`` with the bytes ``writer.writerow`` gives its
+    ``format_value`` cells, taking plain float texts from ``texts``."""
+    cells = []
+    quoted = False
+    for v in row:
+        if type(v) is float:
+            # a float's repr never needs quoting
+            text = texts.get(v)
+            if text is None:
+                text = repr(v)
+                if v:  # 0.0 == -0.0, but their reprs differ
+                    texts[v] = text
+        else:
+            text = format_value(v)
+            quoted = quoted or any(c in text for c in _CSV_QUOTED)
+        cells.append(text)
+    # csv.writer writes a sole empty field as "" so the line is not blank
+    if quoted or cells == [""]:
+        writer.writerow(cells)
+    else:
+        fh.write(",".join(cells) + "\n")
+
+
 def emit_dataset(rows, schema, fmt: str, path) -> Path:
     """Write rows under a column schema as CSV or JSON.
 
@@ -84,6 +123,7 @@ def emit_dataset(rows, schema, fmt: str, path) -> Path:
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(schema)
+            texts: dict[float, str] = {}
         payload = []
         for i, row in enumerate(rows):
             row = tuple(row)
@@ -92,7 +132,7 @@ def emit_dataset(rows, schema, fmt: str, path) -> Path:
                     f"row {i} has {len(row)} fields, schema has {len(schema)}"
                 )
             if fmt == "csv":
-                writer.writerow([format_value(v) for v in row])
+                _write_csv_row(fh, writer, row, texts)
             else:
                 payload.append({name: _native(v) for name, v in zip(schema, row)})
         if fmt == "json":

@@ -481,7 +481,6 @@ def test_overflowing_iterates_raise_nonconvergence_without_warnings():
     assert info.value.lam == 1e-140
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_energies_near_the_largest_float_raise_nonconvergence():
     # bisection brackets start at most half the largest float from zero, so
     # lo + hi cannot overflow and bisection ends: the diagonal reaches

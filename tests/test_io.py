@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polariscope as ps
 from polariscope import ModelParams, Regime
-from polariscope.io import atomic_write, format_value
+from polariscope.io import _native, atomic_write, format_value
 
 
 def _tiny_dataset():
@@ -102,6 +106,85 @@ def test_emit_json_numpy_scalars(tmp_path):
     loaded = json.loads(text)[0]
     assert loaded == {"b": True, "i": -7, "f32": float(np.float32(0.1)), "f64": 1.0 / 3.0}
     assert type(loaded["i"]) is int
+
+
+def _reference_text(rows, schema, fmt):
+    """What emit_dataset must write: csv.writer over format_value cells, or
+    json.dump over _native cells."""
+    out = io.StringIO(newline="")
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(schema)
+        for row in rows:
+            writer.writerow([format_value(v) for v in row])
+    else:
+        payload = [{name: _native(v) for name, v in zip(schema, row)} for row in rows]
+        json.dump(payload, out, indent=2)
+        out.write("\n")
+    return out.getvalue()
+
+
+# A small pool, so values repeat within a file and the float memo hits.
+_FLOAT_POOL = (
+    0.0, -0.0, 0.1, -0.1, 1.0 / 3.0, 1.0, 5e-324, -5e-324, 2.2e-308, 1e308,
+    -1e308, float("inf"), float("-inf"), float("nan"),
+)
+_CELLS = st.one_of(
+    st.sampled_from(_FLOAT_POOL),
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.sampled_from(Regime),
+    st.sampled_from(_FLOAT_POOL).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(st.sampled_from([",", '"', "\r", "\n", "a", " ", "\u00e9"]), max_size=4),
+)
+_TABLES = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.tuples(*[_CELLS] * width), max_size=8)
+)
+_MIXED_ROWS = [
+    (0.0, -0.0, 0.1, np.float64(0.1)),
+    (-0.0, 0.0, 0.1, np.float64(-0.0)),
+    (float("nan"), float("inf"), float("-inf"), 1e308),
+    (5e-324, -5e-324, 2.2e-308, np.int64(-3)),
+    (7, True, Regime.STRONG, "a,b"),
+    ('say "hi"', "cr\r", "lf\n", ""),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=_TABLES)
+@example(rows=_MIXED_ROWS)
+@example(rows=[("",), (0.0,), (-0.0,), ("",)])
+def test_emit_matches_the_reference_writer(tmp_path_factory, fmt, rows):
+    schema = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+    # each example replaces the previous file
+    path = tmp_path_factory.getbasetemp() / f"emit.{fmt}"
+    ps.emit_dataset(rows, schema, fmt, path)
+    assert path.read_bytes() == _reference_text(rows, schema, fmt).encode("utf-8")
+
+
+def _real_datasets():
+    datasets = list(ps.sweep_datasets(ps.SweepGrid()).values())
+    datasets.append(ps.absorption_dataset(ModelParams(lam=0.5)))
+    table = ps.convergence_study(ModelParams(lam=1.0), [10, 20, 30])
+    rows = tuple((row.n_max, *row.energies, row.max_abs_dev) for row in table)
+    columns = ("n_max", *(f"e_{k}" for k in range(7)), "max_abs_dev")
+    datasets.append(ps.Dataset(name="convergence", columns=columns, rows=rows))
+    return datasets
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_real_datasets_match_the_reference_writer(tmp_path, fmt):
+    # the converge rows carry numpy.float64 energies, whose repr is not the
+    # float's; fig2 ends each row with a Regime and fig5 starts with a str
+    for dataset in _real_datasets():
+        path = ps.emit_dataset(
+            dataset.rows, dataset.columns, fmt, tmp_path / f"{dataset.name}.{fmt}"
+        )
+        expected = _reference_text(dataset.rows, dataset.columns, fmt)
+        assert path.read_bytes() == expected.encode("utf-8"), dataset.name
 
 
 def test_atomic_write_replaces_only_on_success(tmp_path):
