@@ -10,9 +10,8 @@ A plain ``float`` cell (``type(v) is float``; ``numpy.float64`` subclasses
 float but has its own repr) is written as its ``repr``, memoized per file.
 The memo is exact: equal floats have equal bits, and so the same repr,
 except 0.0 and -0.0, which are never stored; NaN equals nothing, and every
-NaN is written ``nan``.  Other cells go through ``format_value``, and a
-row whose text needs CSV quoting is written by ``csv.writer``, so every row
-has the bytes ``csv.writer`` gives its ``format_value`` cells.
+NaN is written ``nan``.  Other cells go through ``format_value``, and every
+row is written by ``csv.writer``.
 
 Plot scripts are standalone matplotlib programs written next to the data;
 the package itself never renders anything.
@@ -78,19 +77,12 @@ def format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-# Characters for which csv.writer may quote a field (CR only on some Python
-# versions); a row holding one goes through csv.writer itself.
-_CSV_QUOTED = (",", '"', "\r", "\n")
-
-
-def _write_csv_row(fh, writer, row, texts: dict[float, str]) -> None:
-    """Write ``row`` with the bytes ``writer.writerow`` gives its
-    ``format_value`` cells, taking plain float texts from ``texts``."""
+def _csv_cells(row, texts: dict[float, str]) -> list[str]:
+    """The ``format_value`` texts of ``row``, taking plain float texts from
+    ``texts``."""
     cells = []
-    quoted = False
     for v in row:
         if type(v) is float:
-            # a float's repr never needs quoting
             text = texts.get(v)
             if text is None:
                 text = repr(v)
@@ -98,13 +90,8 @@ def _write_csv_row(fh, writer, row, texts: dict[float, str]) -> None:
                     texts[v] = text
         else:
             text = format_value(v)
-            quoted = quoted or any(c in text for c in _CSV_QUOTED)
         cells.append(text)
-    # csv.writer writes a sole empty field as "" so the line is not blank
-    if quoted or cells == [""]:
-        writer.writerow(cells)
-    else:
-        fh.write(",".join(cells) + "\n")
+    return cells
 
 
 def emit_dataset(rows, schema, fmt: str, path) -> Path:
@@ -132,7 +119,7 @@ def emit_dataset(rows, schema, fmt: str, path) -> Path:
                     f"row {i} has {len(row)} fields, schema has {len(schema)}"
                 )
             if fmt == "csv":
-                _write_csv_row(fh, writer, row, texts)
+                writer.writerow(_csv_cells(row, texts))
             else:
                 payload.append({name: _native(v) for name, v in zip(schema, row)})
         if fmt == "json":

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import polariscope as ps
 from polariscope import ModelParams, Regime
-from polariscope.io import _native, atomic_write, format_value
+from polariscope.io import atomic_write, format_value
 
 
 def _tiny_dataset():
@@ -108,9 +109,17 @@ def test_emit_json_numpy_scalars(tmp_path):
     assert type(loaded["i"]) is int
 
 
+def _plain(value):
+    """A cell as JSON holds it, written out here apart from the library: an
+    enum's label, a numpy scalar's ``item()``, anything else as it is."""
+    if isinstance(value, Enum):
+        return str(value)
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _reference_text(rows, schema, fmt):
     """What emit_dataset must write: csv.writer over format_value cells, or
-    json.dump over _native cells."""
+    json.dump over plain cells."""
     out = io.StringIO(newline="")
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -118,7 +127,7 @@ def _reference_text(rows, schema, fmt):
         for row in rows:
             writer.writerow([format_value(v) for v in row])
     else:
-        payload = [{name: _native(v) for name, v in zip(schema, row)} for row in rows]
+        payload = [{name: _plain(v) for name, v in zip(schema, row)} for row in rows]
         json.dump(payload, out, indent=2)
         out.write("\n")
     return out.getvalue()
