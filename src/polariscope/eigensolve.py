@@ -170,12 +170,11 @@ def _jacobi(a: np.ndarray, tol: float, max_sweeps: int):
 def _sorted_system(values, dominant, parities, vectors, sweeps, residual, labels=None):
     """Read-only EigenSystem sorted by eigenvalue, exact ties by parity (EVEN
     < ODD < MIXED) and then by ``dominant``, the row of each eigenvector's
-    largest component.  The sorted ``vectors`` are a C-ordered copy: BLAS
-    sums ``n @ v**2`` in another order over an F-ordered matrix."""
+    largest component."""
     rank = [0] * values.size if parities is None else [_PARITY_RANK[p] for p in parities]
     order = np.lexsort((dominant, rank, values))
     values = values[order]
-    vectors = np.ascontiguousarray(vectors[:, order])
+    vectors = vectors[:, order]
     if parities is not None:
         parities = tuple(parities[i] for i in order)
     if labels is not None:
@@ -412,7 +411,7 @@ def _check_residuals(lams: np.ndarray, *models: _Chains) -> None:
 def _point_system(basis: FockBasis, chains: _Chains, point: int, sweeps: int) -> EigenSystem:
     """The EigenSystem of one point of chains that hold every eigenpair,
     each vector written once into a dense matrix in chain-major column
-    order, of which ``_sorted_system`` returns a sorted C-ordered copy."""
+    order, which ``_sorted_system`` sorts."""
     rows, dominant = chains.rows, chains.dominant[point].ravel()
     vectors = np.zeros((basis.dim, basis.dim))
     columns = np.arange(dominant.size).reshape(rows.shape[0], -1)

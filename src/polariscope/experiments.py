@@ -137,10 +137,9 @@ def _model_columns(model, chains, basis, params, curves, k):
     selection makes the lowest dipole-allowed lines.  The RWA's are the
     one-excitation polaritons (labels 1 and 2) seen from |g,0> (label 0);
     past lam = omega_c the lower one is negative, the RWA pathology.
-    Photon numbers come from the basis-ordered product a whole C-ordered
-    eigenvector matrix gives (see ``_sorted_system``), because BLAS sums it
-    over basis rows in groups of four with fused multiply-adds; the wanted
-    columns are padded to a multiple of four, which BLAS treats alike.
+    Photon numbers and atomic energies come straight from the chain
+    vectors, with the bits the whole eigenvectors give (see
+    ``observables``).
     """
     points = len(chains.values)
     values = chains.values.reshape(points, -1)
@@ -151,15 +150,8 @@ def _model_columns(model, chains, basis, params, curves, k):
     labels = chains.labels.ravel()
     position = _curve_positions(labels)
     tracked = position[curves.setdefault(model, labels[order[0, :k]])]
-    picked = np.concatenate(
-        [order[:, :k], np.broadcast_to(tracked, (points, k)), order[:, : -2 * k % 4]], axis=1
-    )
-    chain, level = picked // chains.labels.shape[1], picked % chains.labels.shape[1]
-    dense = np.zeros((points, basis.dim, picked.shape[1]))
-    dense[point[:, :, None], chains.rows[chain], np.arange(picked.shape[1])[:, None]] = (
-        chains.vectors[:, point, chain, level].transpose(1, 2, 0)
-    )
-    nbar, eatom = _observable_arrays(dense, params)
+    picked = np.concatenate([order[:, :k], np.broadcast_to(tracked, (points, k))], axis=1)
+    nbar, eatom = _observable_arrays(chains.vectors, params, chains.rows.T[:, None, :, None])
     if model == "full":
         peaks = chains.values[:, 1, :2] - energies[:, :1]
     else:
@@ -170,12 +162,13 @@ def _model_columns(model, chains, basis, params, curves, k):
         f"delta_nu_{model}": peaks[:, 1] - peaks[:, 0],
     }
     for field, array in (
-        ("energies", values[point, picked]),
+        ("energies", values),
         ("photon_numbers", nbar),
         ("atomic_energies", eatom),
     ):
+        array = array.reshape(points, -1)[point, picked]
         fields[f"{field}_{model}"] = array[:, :k]
-        fields[f"{field}_{model}_tracked"] = array[:, k : 2 * k]
+        fields[f"{field}_{model}_tracked"] = array[:, k:]
     return fields
 
 

@@ -4,6 +4,14 @@ All functions take real amplitude vectors over the canonical interleaved
 basis (index(|g,n>) = 2n, index(|e,n>) = 2n+1), e.g. eigenvector columns of
 an EigenSystem, and use that layout to identify the atomic level (index
 parity) and photon number (index // 2).
+
+Every eigenvector-weighted sum adds its terms one basis row at a time, in
+ascending row order: ``np.add.accumulate(terms, axis=0)[-1]``.  ``@``,
+``np.dot``, ``np.sum`` and ``np.add.reduce`` instead group terms in an order
+set by the array's layout and by the BLAS kernel, which OpenBLAS picks from
+the CPU.  So a value has the same bits on any machine, whether its state is
+a 1-D vector, a column of a C- or F-ordered matrix, or a parity chain's
+vector, whose missing rows would only add zeros.
 """
 
 from __future__ import annotations
@@ -19,45 +27,55 @@ from .model import ModelParams
 NORM_TOL = 1e-10
 
 
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over axis 0, the basis rows, in ascending row order."""
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _observable_arrays(vectors: np.ndarray, params: ModelParams, rows: np.ndarray):
+    """Photon number and atomic energy of every state in ``vectors``, whose
+    axis 0 runs over basis rows: ``rows``, which broadcasts against
+    ``vectors``, holds the basis index of each entry, ascending along axis
+    0.  Raises ValidationError unless every state has unit norm."""
+    weights = vectors**2
+    norms = np.sqrt(_row_sums(weights))
+    not_unit = ~(np.abs(norms - 1.0) <= NORM_TOL)
+    if not_unit.any():
+        norm = float(norms[not_unit][0])
+        raise ValidationError(f"state must have unit norm, got {norm!r}")
+    nbar = _row_sums(rows // 2 * weights)
+    eatom = params.omega1 + params.omega21 * _row_sums(rows % 2 * weights)
+    return nbar, eatom
+
+
 def _as_state(state) -> np.ndarray:
     amps = np.asarray(state, dtype=float)
     if amps.ndim != 1 or amps.size == 0 or amps.size % 2 != 0:
         raise ValidationError(
             f"state must be a 1-D amplitude vector of even length, got shape {amps.shape}"
         )
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValidationError(f"state must have unit norm, got {norm!r}")
     return amps
 
 
 def photon_number(state) -> float:
     """Average photon number <a^dag a> of a normalized state."""
     amps = _as_state(state)
-    n = np.arange(amps.size) // 2
-    return float(np.dot(n, amps**2))
+    return float(_observable_arrays(amps, ModelParams(), np.arange(amps.size))[0])
 
 
 def atomic_energy(state, params: ModelParams) -> float:
-    """Average energy stored in the atom, w1*P(g) + w2*P(e)."""
+    """Average energy stored in the atom, w1 + w21 * P(e)."""
     amps = _as_state(state)
-    p_g = float(np.sum(amps[0::2] ** 2))
-    p_e = float(np.sum(amps[1::2] ** 2))
-    return params.omega1 * p_g + params.omega2 * p_e
+    return float(_observable_arrays(amps, params, np.arange(amps.size))[1])
 
 
-def _observable_arrays(vectors: np.ndarray, params: ModelParams):
-    """Photon number and atomic energy of every column of ``vectors``
-    (..., dim, S), with the unit-norm check of ``photon_number`` and
-    ``atomic_energy``."""
-    weights = vectors**2
-    norms = np.sqrt(np.sum(weights, axis=-2))
-    not_unit = np.abs(norms - 1.0) > NORM_TOL
-    if not_unit.any():
-        raise ValidationError(f"state must have unit norm, got {norms[not_unit][0]!r}")
-    nbar = (np.arange(weights.shape[-2]) // 2) @ weights
-    eatom = params.omega1 + params.omega21 * np.sum(weights[..., 1::2, :], axis=-2)
-    return nbar, eatom
+def _dipole_elements(initial: np.ndarray, final: np.ndarray, hermitian: bool):
+    """``dipole_element`` over axis 0 of ``initial`` and ``final``, which
+    broadcast against each other."""
+    elements = _row_sums(final[1::2] * initial[0::2])
+    if hermitian:
+        elements = elements + _row_sums(final[0::2] * initial[1::2])
+    return elements
 
 
 def dipole_element(initial, final, *, hermitian: bool = False) -> float:
@@ -68,20 +86,10 @@ def dipole_element(initial, final, *, hermitian: bool = False) -> float:
     With ``hermitian=True`` the operator is mu + mu^dag instead.  Intensity
     consumers square the returned value.
     """
-    a = np.asarray(initial, dtype=float)
-    b = np.asarray(final, dtype=float)
+    a, b = _as_state(initial), _as_state(final)
     if a.shape != b.shape:
-        raise BasisMismatch(
-            f"states live on different bases: shapes {a.shape} vs {b.shape}"
-        )
-    if a.ndim != 1 or a.size % 2 != 0:
-        raise ValidationError(
-            f"states must be 1-D amplitude vectors of even length, got shape {a.shape}"
-        )
-    value = float(np.dot(b[1::2], a[0::2]))
-    if hermitian:
-        value += float(np.dot(b[0::2], a[1::2]))
-    return value
+        raise BasisMismatch(f"states live on different bases: shapes {a.shape} vs {b.shape}")
+    return float(_dipole_elements(a, b, hermitian))
 
 
 @dataclass(frozen=True)

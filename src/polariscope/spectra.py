@@ -45,13 +45,13 @@ from .eigensolve import (
     _rotation,
 )
 from .model import FockBasis, ModelParams, bare_energies, build_basis
+from .observables import _dipole_elements
 
 #: Default relative-intensity cutoff for absorption lines.
 DEFAULT_LINE_THRESHOLD = 1e-6
 
-#: Bytes one array of a chunk of grid points may take: (rows, points,
-#: chains, levels) floats for a chunk stay within this, so the handful live
-#: at once stay near 1 MB.
+#: Bytes that two (rows, points, chains, levels) float arrays of a chunk of
+#: grid points may take, so that the handful live at once stay near 1 MB.
 _CHUNK_BYTES = 2**17
 
 
@@ -154,11 +154,10 @@ def _rabi_chunks(
     tol: float,
 ) -> Iterator[tuple[slice, _Chains]]:
     """``_Chains`` of the lowest ``levels`` eigenpairs of both parity chains
-    of the full Hamiltonian, for consecutive chunks of the grid ``lams``,
-    each short enough that its C-ordered dense eigenvector columns in a
-    sweep, 2 * dim * levels floats per point (see
-    ``experiments._model_columns``), stay within ``_CHUNK_BYTES``.  Yields
-    (chunk slice, chains).
+    of the full Hamiltonian, for consecutive chunks of the grid ``lams``.
+    Yields (chunk slice, chains).  A chunk is short enough that two arrays
+    of its inverse iteration, (m, points, 2, levels) floats each with
+    m = n_max + 1 = dim / 2, stay within ``_CHUNK_BYTES``.
 
     Bisection runs over the whole grid at once, since its arrays hold no
     chain rows.
@@ -318,8 +317,8 @@ def absorption_lines(
 ) -> list[SpectralLine]:
     """Stick absorption spectrum from the ground eigenstate.
 
-    Computes the squared dipole element (see ``dipole_element``) from
-    eigenstate 0 to every higher eigenstate in one matrix-vector product,
+    Computes the squared dipole element (see ``dipole_element``, whose bits
+    each element has) from eigenstate 0 to every higher eigenstate,
     normalizes so the strongest line has intensity 1, drops lines at or
     below the relative ``threshold``, and returns the rest sorted by
     frequency.
@@ -330,10 +329,7 @@ def absorption_lines(
         raise ValidationError(
             f"eigensystem dimension {eig.dim} does not match basis dimension {len(basis)}"
         )
-    vectors = eig.eigenvectors
-    elements = vectors[0::2, 0] @ vectors[1::2, 1:]
-    if hermitian:
-        elements = elements + vectors[1::2, 0] @ vectors[0::2, 1:]
+    elements = _dipole_elements(eig.eigenvectors[:, :1], eig.eigenvectors[:, 1:], hermitian)
     raw = elements * elements
     strongest = float(np.max(raw, initial=0.0))
     if strongest == 0.0:

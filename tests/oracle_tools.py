@@ -136,11 +136,19 @@ def track_states(previous: EigenSystem, current: EigenSystem) -> np.ndarray:
 
 
 def _observable_arrays(eig: EigenSystem, params: ps.ModelParams):
-    """Photon number and atomic energy of every eigenvector column."""
-    weights = eig.eigenvectors**2
-    nbar = (np.arange(eig.dim) // 2) @ weights
-    eatom = params.omega1 + params.omega21 * np.sum(weights[1::2], axis=0)
-    return nbar, eatom
+    """Photon number and atomic energy of every eigenvector column, each a
+    plain-Python sum over the basis rows in ascending order."""
+    nbar, eatom = [], []
+    for column in eig.eigenvectors.T.tolist():
+        photons = excited = 0.0
+        for row, amplitude in enumerate(column):
+            weight = amplitude * amplitude
+            photons += row // 2 * weight
+            if row % 2:
+                excited += weight
+        nbar.append(photons)
+        eatom.append(params.omega1 + params.omega21 * excited)
+    return np.array(nbar), np.array(eatom)
 
 
 def _curve_positions(labels: np.ndarray) -> np.ndarray:

@@ -162,19 +162,6 @@ def test_output_arrays_read_only():
         eig.eigenvectors[0, 0] = 9.0
 
 
-def test_eigenvectors_are_c_contiguous():
-    # the observables' BLAS products sum in a layout-dependent order, so
-    # every solver hands back the same (C) layout
-    basis = ps.build_basis(4)
-    params = ModelParams(lam=0.5)
-    for eig in (
-        ps.solve_rabi(params, basis),
-        ps.solve_rwa(params, basis),
-        ps.diagonalize(ps.build_rabi_hamiltonian(params, basis), basis),
-    ):
-        assert eig.eigenvectors.flags.c_contiguous
-
-
 def test_nonconvergence_raises_with_residual():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ps.NonConvergence) as info:

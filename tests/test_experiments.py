@@ -365,6 +365,7 @@ def test_label_tracking_matches_overlap_tracking(omega2):
     # the same tracked columns, including the resonant fork at lambda = 0
     grid = ps.SweepGrid(params_base=ModelParams(omega2=omega2))
     basis = ps.build_basis(14)
+    basis_rows = np.arange(basis.dim)[:, None]
     rows = ps.run_sweep(grid, n_max=14, k_states=7)
     full, rwa = zip(*oracle_tools.point_systems(grid, 14))
     for model, systems in (("full", full), ("rwa", rwa)):
@@ -376,7 +377,7 @@ def test_label_tracking_matches_overlap_tracking(omega2):
             positions = np.empty(basis.dim, dtype=int)
             positions[curves] = np.arange(basis.dim)
             params = grid.params_base.with_lambda(row.lam)
-            nbar, eatom = _observable_arrays(eig.eigenvectors, params)
+            nbar, eatom = _observable_arrays(eig.eigenvectors, params, basis_rows)
             pos = positions[:7]
             for quantity, values in (
                 ("energies", eig.eigenvalues),
@@ -448,14 +449,15 @@ def test_sweep_datasets_equal_the_row_assembly(tmp_path, grid, n_max, k_states):
 
 
 def test_observable_arrays_match_per_state_functions():
+    # one summation rule serves the whole matrix and the single columns, so
+    # they agree bit for bit
     params = ModelParams(omega1=0.3, omega2=1.4, lam=0.7)
     eig = ps.solve_rabi(params, ps.build_basis(10))
-    nbar, eatom = _observable_arrays(eig.eigenvectors, params)
+    rows = np.arange(eig.dim)[:, None]
+    nbar, eatom = _observable_arrays(eig.eigenvectors, params, rows)
     for k in range(eig.dim):
         column = eig.eigenvectors[:, k]
-        assert nbar[k] == pytest.approx(ps.photon_number(column), rel=1e-14, abs=1e-15)
-        assert eatom[k] == pytest.approx(
-            ps.atomic_energy(column, params), rel=1e-14, abs=1e-15
-        )
+        assert nbar[k] == ps.photon_number(column)
+        assert eatom[k] == ps.atomic_energy(column, params)
     with pytest.raises(ps.ValidationError, match="unit norm"):
-        _observable_arrays(eig.eigenvectors * (1.0 + 1e-9), params)
+        _observable_arrays(eig.eigenvectors * (1.0 + 1e-9), params, rows)

@@ -1,8 +1,19 @@
+import dataclasses
+import itertools
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polariscope as ps
 from polariscope import Atom, ModelParams, Parity
+from polariscope.observables import _observable_arrays
 
 
 def _vector(basis, amplitudes):
@@ -166,3 +177,97 @@ def test_energy_partition_identity_and_variational_sign():
     assert part.zero_point == 0.5 * params.omega_c
     assert part.field > 0.0
     assert part.interaction < 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    lam=st.floats(0.0, 2.0),
+    omega2=st.sampled_from([0.8, 1.0, 1.2]),
+    n_max=st.integers(1, 24),
+)
+def test_observables_do_not_depend_on_the_layout(lam, omega2, n_max):
+    # every eigenvector-weighted sum adds basis rows in ascending order, so
+    # C- and F-ordered matrices, single columns, the sweep's chain vectors
+    # and the absorption lines all give the same bits (Jacobi, slow in
+    # Python, only on the smaller bases)
+    params = ModelParams(omega2=omega2, lam=lam)
+    basis = ps.build_basis(n_max)
+    rows = np.arange(basis.dim)[:, None]
+    grid = ps.SweepGrid(lambda_min=lam, lambda_max=lam + 0.5, steps=2, params_base=params)
+    [sweep, _] = ps.run_sweep(grid, n_max, n_max)
+    systems = [("full", ps.solve_rabi(params, basis)), ("rwa", ps.solve_rwa(params, basis))]
+    if n_max <= 8:
+        systems.append((None, ps.diagonalize(ps.build_rabi_hamiltonian(params, basis), basis)))
+    for model, eig in systems:
+        c_vectors = np.ascontiguousarray(eig.eigenvectors)
+        f_vectors = np.asfortranarray(eig.eigenvectors)
+        nbar, eatom = _observable_arrays(c_vectors, params, rows)
+        f_nbar, f_eatom = _observable_arrays(f_vectors, params, rows)
+        assert nbar.tobytes() == f_nbar.tobytes()
+        assert eatom.tobytes() == f_eatom.tobytes()
+        for k in range(basis.dim):
+            for vectors in (c_vectors, f_vectors):
+                assert ps.photon_number(vectors[:, k]) == nbar[k]
+                assert ps.atomic_energy(vectors[:, k], params) == eatom[k]
+        if model is not None:
+            for labeling in ("", "_tracked"):
+                cells = getattr(sweep, f"photon_numbers_{model}{labeling}")
+                assert cells.tobytes() == nbar[:n_max].tobytes()
+                cells = getattr(sweep, f"atomic_energies_{model}{labeling}")
+                assert cells.tobytes() == eatom[:n_max].tobytes()
+        for vectors, hermitian in itertools.product((c_vectors, f_vectors), (False, True)):
+            layout = dataclasses.replace(eig, eigenvectors=vectors)
+            for line in ps.absorption_lines(layout, basis, 0.0, hermitian=hermitian):
+                element = ps.dipole_element(
+                    f_vectors[:, 0], c_vectors[:, line.to_index], hermitian=hermitian
+                )
+                # squared as the library squares: a Python float's ** 2 calls
+                # libm pow, which is not always correctly rounded
+                assert line.raw_intensity == element * element
+
+
+def _dynamic_arch_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _dynamic_arch_openblas(),
+    reason="OPENBLAS_CORETYPE picks the BLAS kernel only in a DYNAMIC_ARCH OpenBLAS on x86-64",
+)
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel from the CPU unless OPENBLAS_CORETYPE names
+    # one; Prescott sums a BLAS product in another order than the kernels
+    # of AVX CPUs, so the default sweep, spectrum and absorption runs must
+    # write the same bytes under it as under the CPU's own kernel
+    src = Path(ps.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from polariscope.cli import main\n"
+        "for command in ('sweep', 'spectrum', 'absorption'):\n"
+        "    assert main([command, '--out', sys.argv[1]]) == 0\n"
+    )
+    written = {}
+    for kernel in ("Prescott", None):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        out = tmp_path / str(kernel)
+        subprocess.run(
+            [sys.executable, "-c", script, str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        written[kernel] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert {"fig4_left.csv", "spectrum.csv", "fig5.csv"} <= written[None].keys()
+    assert written["Prescott"].keys() == written[None].keys()
+    for name, data in written[None].items():
+        assert written["Prescott"][name] == data, name
