@@ -9,7 +9,11 @@ Sturm-count bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967))
 for the lowest K eigenvalues of each chain, inverse iteration for their
 eigenvectors, then each point's worst residual and the sign convention of
 ``diagonalize``.  Every point keeps its own spectral radius, so a point's
-bits do not depend on the chunk it is solved in, nor on K.
+bits do not depend on the chunk it is solved in, nor on K.  The row
+recurrences of bisection and inverse iteration hold the chain's row index
+on a leading axis, so each step down the chain is a couple of numpy calls
+over every point, chain and level at once.  No chain kernel calls BLAS:
+their bits do not depend on the kernel OpenBLAS picks for the CPU.
 ``_point_system`` turns one point of complete chains into the
 ``EigenSystem`` that ``diagonalize`` returns, with the same ordering and
 sign conventions.
@@ -33,6 +37,7 @@ import numpy as np
 
 from .errors import BasisMismatch, NonConvergence, ValidationError
 from .model import FockBasis, Parity
+from .observables import _row_sums
 
 #: Default convergence tolerance, relative to the Frobenius norm.
 DEFAULT_TOL = 1e-12
@@ -264,19 +269,35 @@ def _radius(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     ) + 2.0 * np.max(np.abs(off), axis=-1, keepdims=True, initial=0.0)
 
 
+def _rows_first(a: np.ndarray, ndim: int) -> np.ndarray:
+    """A view of chain rows ``a`` (..., n) as (n, ..., 1), with axes of
+    length 1 in front of ``...`` so that it broadcasts against lanes of
+    ``ndim`` axes."""
+    return np.moveaxis(a[(None,) * (ndim - a.ndim)], -1, 0)[..., None]
+
+
 def _bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
     """The lowest ``levels`` eigenvalues of symmetric tridiagonal chains,
     ascending, by bisection.
 
-    ``diag`` (..., m) and ``off`` (..., m-1) broadcast against each other.
-    Each eigenvalue's bracket is halved until it spans at most two ulps of
-    its chain's spectral radius; a bracket stops moving once it is that
-    narrow, so an eigenvalue does not depend on what else is batched with
-    it, nor on how many levels are asked for.  The count of eigenvalues
-    below a shift x is the number of negative pivots of the LDL^T
-    factorization of T - x (Sturm count).  A zero or tiny pivot makes the
-    next pivot -inf, which counts it as an infinitesimal positive one;
-    ``off2`` is kept positive so that no 0/0 arises.
+    ``diag`` (..., m) and ``off`` (..., m-1) broadcast against each other;
+    the brackets form lanes (..., levels).  Each eigenvalue's bracket is
+    halved until it spans at most two ulps of its chain's spectral radius;
+    a bracket stops moving once it is that narrow, so an eigenvalue does
+    not depend on what else is batched with it, nor on how many levels are
+    asked for.  The count of eigenvalues below a shift x is the number of
+    negative pivots of the LDL^T factorization of T - x (Sturm count).  A
+    zero or tiny pivot makes the next pivot -inf, which counts it as an
+    infinitesimal positive one; ``off2`` is kept positive so that no 0/0
+    arises.
+
+    The pivots of a halving are held rows first, in one (m, ..., levels)
+    buffer allocated once per call, and the squared off-diagonals are
+    broadcast once to the same layout: each row of the recurrence is one
+    divide and one subtract over all lanes, and the negative pivots are
+    counted once per halving.  The two arrays hold 2m - 1 rows of the
+    lanes' size; ``spectra._rabi_chunks`` bounds them by bisecting a large
+    grid in pieces.
 
     A chain may be padded past its end with rows of diagonal +inf and
     off-diagonal 0: their pivots are +inf (or NaN after a zero pivot), and
@@ -292,20 +313,51 @@ def _bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
     hi = radius + np.zeros(levels)
     lo = -hi
     index = np.arange(levels)
+    m = diag.shape[-1]
+    shifted = _rows_first(diag, hi.ndim)
+    q = np.empty((m, *hi.shape))
+    t = np.empty(hi.shape)
+    # holds the count of negative pivots, at most m
+    count = np.min_scalar_type(m)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        off2 = off * off + _TINY
+        off2 = _rows_first(off * off + _TINY, hi.ndim)
+        # contiguous: dividing by a broadcast operand is several times slower
+        off2 = np.ascontiguousarray(np.broadcast_to(off2, (m - 1, *hi.shape)))
+        steps = list(zip(off2, q[:-1], q[1:]))
         while (active := hi - lo > bound).any():
             mid = 0.5 * (lo + hi)
-            q = diag[..., :1] - mid
-            below = np.zeros(q.shape, dtype=np.intp)
-            below += q < 0
-            for i in range(1, diag.shape[-1]):
-                q = (diag[..., i : i + 1] - mid) - off2[..., i - 1 : i] / q
-                below += q < 0
-            above = below > index
+            # out by position: as a keyword it makes a pass on small lanes
+            # (the converge ladder's 126) ~25 % slower
+            np.subtract(shifted, mid, q)
+            for o, previous, row in steps:
+                np.divide(o, previous, t)
+                np.subtract(row, t, row)
+            # q < 0, not the sign bit: -0.0 and NaN pivots do not count
+            above = np.less(q, 0).sum(axis=0, dtype=count) > index
             hi = np.where(active & above, mid, hi)
             lo = np.where(active & ~above, mid, lo)
     return 0.5 * (lo + hi)
+
+
+def _orthogonalize_clusters(v: np.ndarray, close: np.ndarray) -> None:
+    """Gram-Schmidt each eigenvector ``v[:, i, s, k + 1]`` of (m, p, c, K)
+    in place against the lower members of its cluster, where ``close``
+    (p, c, K-1) marks eigenvalue k + 1 close to k.
+
+    Each projection and norm adds its terms one at a time in a fixed order
+    (the rule of ``observables``), so a vector's bits depend neither on the
+    layout of ``v`` nor on the BLAS kernel.
+    """
+    for point, s, k in zip(*np.nonzero(close)):
+        first = k
+        while first > 0 and close[point, s, first - 1]:
+            first -= 1
+        cluster = v[:, point, s, first : k + 1]
+        w = v[:, point, s, k + 1]
+        for _ in range(2):
+            # cluster @ (cluster.T @ w): over rows, then over members
+            w -= _row_sums((cluster * _row_sums(cluster * w[:, None])).T)
+        w /= math.sqrt(_row_sums(w * w))
 
 
 def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -316,13 +368,16 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) ->
     the result is (m, p, c, K) with ``[:, i, s, k]`` the eigenvector of
     ``values[i, s, k]``.  All shifts run at once: T - value = L D L^T is
     factored once (pivots below eps times the point's spectral radius are
-    raised to it), then each step solves with it and normalizes.
+    raised to it), then each step solves with it and normalizes.  The
+    factorization and the substitutions run rows first, one row of every
+    point, chain and shift per numpy call, into buffers allocated once.
     Eigenvalues closer than ``_CLUSTER_GAP`` of that radius are
     Gram-Schmidt orthogonalized against the lower members of their cluster
     after every step, as in LAPACK's dstein, which also separates exact
-    ties.  Every operation acts on one point and one eigenvector at a time,
-    so a column's bits depend neither on the chunk nor on K.  Iterates that
-    overflow leave non-finite vectors, which the residual check rejects.
+    ties (``_orthogonalize_clusters``).  Every operation acts on one point
+    and one eigenvector at a time, so a column's bits depend neither on the
+    chunk nor on K.  Iterates that overflow leave non-finite vectors, which
+    the residual check rejects.
     """
     m = diag.shape[-1]
     radius = np.max(_radius(diag, off), axis=1, keepdims=True)
@@ -336,29 +391,29 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) ->
     # iterates for the cluster orthogonalization.
     key = np.arange(m)[:, None, None, None] * 7919 + np.arange(values.shape[-1]) * 104729 + 1
     v = (key * 2654435761 % 2**32) / 2.0**32 - 0.5 + np.zeros((*values.shape[:2], 1))
+    t = np.empty(values.shape)
+    small = np.empty(values.shape, dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for i in range(m):
-            piv[i] = np.where(np.abs(piv[i]) < floor, floor, piv[i])
+        off2 = off * off
+        for i, row in enumerate(piv):
+            np.less(np.abs(row, t), floor, small)
+            np.copyto(row, floor, where=small)
             if i < m - 1:
-                piv[i + 1] -= off[i] ** 2 / piv[i]
+                np.divide(off2[i], row, t)
+                np.subtract(piv[i + 1], t, piv[i + 1])
         mult = off / piv[:-1]
+        # (mult[i], v[i], v[i + 1]) for i = 0 .. m-2
+        steps = list(zip(mult, v[:-1], v[1:]))
         for _ in range(INVERSE_STEPS):
-            for i in range(1, m):
-                v[i] -= mult[i - 1] * v[i - 1]
+            for factor, previous, row in steps:
+                np.multiply(factor, previous, t)
+                np.subtract(row, t, row)
             v /= piv
-            for i in range(m - 2, -1, -1):
-                v[i] -= mult[i] * v[i + 1]
+            for factor, row, following in reversed(steps):
+                np.multiply(factor, following, t)
+                np.subtract(row, t, row)
             v /= np.sqrt(np.sum(v * v, axis=0))
-            for point, s, k in zip(*np.nonzero(close)):
-                first = k
-                while first > 0 and close[point, s, first - 1]:
-                    first -= 1
-                # contiguous copies round alike whatever the chunk's layout
-                cluster = v[:, point, s, first : k + 1].copy()
-                w = v[:, point, s, k + 1].copy()
-                for _ in range(2):
-                    w -= cluster @ (cluster.T @ w)
-                v[:, point, s, k + 1] = w / math.sqrt(w @ w)
+            _orthogonalize_clusters(v, close)
     return v
 
 

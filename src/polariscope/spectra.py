@@ -54,6 +54,14 @@ DEFAULT_LINE_THRESHOLD = 1e-6
 #: grid points may take, so that the handful live at once stay near 1 MB.
 _CHUNK_BYTES = 2**17
 
+#: Bytes that bisection's rows-first arrays over a piece of the grid, its
+#: pivots and squared off-diagonals ((2m - 1, points, chains, levels) floats
+#: in all), may take.  The default sweep (~0.45 MB) and the converge ladder
+#: bisect in one piece; a larger grid is bisected piece by piece.  Pieces
+#: much shorter than the default grid slow bisection down, since each
+#: numpy call of its row loop then does little work.
+_BISECT_BYTES = 2**20
+
 
 class Branch(Enum):
     """Lower/upper member of a polariton doublet."""
@@ -159,11 +167,16 @@ def _rabi_chunks(
     of its inverse iteration, (m, points, 2, levels) floats each with
     m = n_max + 1 = dim / 2, stay within ``_CHUNK_BYTES``.
 
-    Bisection runs over the whole grid at once, since its arrays hold no
-    chain rows.
+    Bisection runs before the first chunk over the whole grid, in pieces
+    whose rows-first arrays, 2m - 1 rows of (points, 2, levels) floats,
+    stay within ``_BISECT_BYTES``.  Each point is bisected on its own, so
+    its values do not depend on the piece.
     """
     rows, diag, off = _rabi_chain_arrays(params, lams, basis)
-    values = _bisect(diag, off, levels)
+    piece = max(1, _BISECT_BYTES // (8 * (basis.dim - 1) * 2 * levels))
+    values = np.concatenate(
+        [_bisect(diag, off[start : start + piece], levels) for start in range(0, lams.size, piece)]
+    )
     size = max(1, _CHUNK_BYTES // (8 * 2 * basis.dim * levels))
     for start in range(0, lams.size, size):
         chunk = slice(start, start + size)

@@ -10,18 +10,38 @@ builds the rows of ``run_sweep`` one grid point at a time from whole
 eigensystems (``point_systems``, shared between tests), the reference for
 the batched row assembly, and ``datasets_from_rows`` reads the sweep
 datasets out of such rows cell by cell, the reference for the table
-assembly of ``sweep_datasets``.
+assembly of ``sweep_datasets``.  ``rowwise_bisect`` and
+``rowwise_inverse_iteration`` are the chain kernels as they were before
+they ran rows first, one slice of the chain at a time: the bit reference
+for the library's kernels, which keep the same operations in the same
+order.  ``run_with_blas_kernel`` runs a script in a fresh process on a
+chosen OpenBLAS kernel, for tests that compare kernels.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 import polariscope as ps
 from polariscope import EigenSystem, Parity, ValidationError
+from polariscope.eigensolve import (
+    _CLUSTER_GAP,
+    _EPS,
+    _HUGE,
+    _TINY,
+    INVERSE_STEPS,
+    _orthogonalize_clusters,
+    _radius,
+)
 from polariscope.experiments import _COLUMNS, _MODELS
 
 #: Minimum eigenvector overlap for an unambiguous tracking step.
@@ -32,6 +52,42 @@ OVERLAP_MIN = 2.0**-0.5
 #: polariton fork at lambda = 0) yields a best overlap of exactly 1/sqrt(2),
 #: which must not raise; float rounding can land it one ulp below.
 _OVERLAP_EPS = 1e-9
+
+
+def _dynamic_arch_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+#: Skips a test that picks the BLAS kernel where OPENBLAS_CORETYPE cannot.
+needs_blas_kernel_choice = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _dynamic_arch_openblas(),
+    reason="OPENBLAS_CORETYPE picks the BLAS kernel only in a DYNAMIC_ARCH OpenBLAS on x86-64",
+)
+
+
+def run_with_blas_kernel(kernel: str | None, script: str, *args: str) -> bytes:
+    """Standard output of ``python -c script args`` in a fresh process,
+    single-threaded, with OpenBLAS on the kernel named ``kernel``
+    (``OPENBLAS_CORETYPE``) or, for None, on the one it picks for the CPU."""
+    src = str(Path(ps.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env,
+        check=True,
+        capture_output=True,
+        timeout=120,
+    )
+    return done.stdout
 
 
 def gershgorin_bounds(matrix: np.ndarray) -> tuple[float, float]:
@@ -246,3 +302,58 @@ def datasets_from_rows(rows: list[ps.SweepRow]) -> dict[str, ps.Dataset]:
         table = tuple((row.lam, *_cells(row, spec)) for row in rows)
         datasets[name] = ps.Dataset(name=name, columns=tuple(columns), rows=table)
     return datasets
+
+
+def rowwise_bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
+    """``eigensolve._bisect`` with each Sturm pass running down the chain's
+    last axis one row at a time, counting as it goes."""
+    radius = np.minimum(_radius(diag, off), 0.5 * _HUGE)
+    bound = 2.0 * _EPS * radius + _TINY
+    hi = radius + np.zeros(levels)
+    lo = -hi
+    index = np.arange(levels)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        off2 = off * off + _TINY
+        while (active := hi - lo > bound).any():
+            mid = 0.5 * (lo + hi)
+            q = diag[..., :1] - mid
+            below = np.zeros(q.shape, dtype=np.intp)
+            below += q < 0
+            for i in range(1, diag.shape[-1]):
+                q = (diag[..., i : i + 1] - mid) - off2[..., i - 1 : i] / q
+                below += q < 0
+            above = below > index
+            hi = np.where(active & above, mid, hi)
+            lo = np.where(active & ~above, mid, lo)
+    return 0.5 * (lo + hi)
+
+
+def rowwise_inverse_iteration(
+    diag: np.ndarray, off: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """``eigensolve._inverse_iteration`` with its factorization and
+    substitutions written one row slice at a time; the cluster
+    orthogonalization is the library's own."""
+    m = diag.shape[-1]
+    radius = np.max(_radius(diag, off), axis=1, keepdims=True)
+    floor = _EPS * radius
+    piv = diag.T[:, None, :, None] - values
+    off = off.transpose(2, 0, 1)[..., None]
+    close = values[..., 1:] - values[..., :-1] <= _CLUSTER_GAP * radius
+    key = np.arange(m)[:, None, None, None] * 7919 + np.arange(values.shape[-1]) * 104729 + 1
+    v = (key * 2654435761 % 2**32) / 2.0**32 - 0.5 + np.zeros((*values.shape[:2], 1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(m):
+            piv[i] = np.where(np.abs(piv[i]) < floor, floor, piv[i])
+            if i < m - 1:
+                piv[i + 1] -= off[i] ** 2 / piv[i]
+        mult = off / piv[:-1]
+        for _ in range(INVERSE_STEPS):
+            for i in range(1, m):
+                v[i] -= mult[i - 1] * v[i - 1]
+            v /= piv
+            for i in range(m - 2, -1, -1):
+                v[i] -= mult[i] * v[i + 1]
+            v /= np.sqrt(np.sum(v * v, axis=0))
+            _orthogonalize_clusters(v, close)
+    return v

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -455,6 +456,138 @@ def test_bisect_on_inf_padded_chains_equals_unpadded(chains, scale):
     for row, (d, o) in enumerate(chains):
         alone = eigensolve._bisect(np.multiply(d, scale), np.multiply(o, scale), levels)
         assert padded[row].tobytes() == alone.tobytes()
+
+
+@st.composite
+def _integer_batches(draw):
+    """Integer chains (c, m) with off-diagonals (p, c, m-1) and a length
+    per point, which the ladder layout pads past with diagonal +inf."""
+    m = draw(st.integers(min_value=1, max_value=9))
+    c = draw(st.integers(min_value=1, max_value=2))
+    p = draw(st.integers(min_value=1, max_value=3))
+    entries = st.integers(min_value=-4, max_value=4)
+    diag = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=c, max_size=c))
+    couplings = st.lists(st.integers(min_value=0, max_value=3), min_size=m - 1, max_size=m - 1)
+    off = draw(st.lists(st.lists(couplings, min_size=c, max_size=c), min_size=p, max_size=p))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=m), min_size=p, max_size=p))
+    return diag, off, sizes
+
+
+_LONG_CHAIN = (
+    [[i * 7 % 9 - 4 for i in range(260)]],
+    [[[i % 4 for i in range(259)]]],
+    [260],
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    batch=_integer_batches(),
+    layout=st.sampled_from(["chain", "sweep", "ladder"]),
+    scale=st.sampled_from([5e-324, 1e-140, 1.0, 1e300]),
+    levels=st.integers(min_value=1, max_value=9),
+)
+@example(batch=([[2]], [[[]]], [1]), layout="sweep", scale=1.0, levels=1)
+@example(batch=([[1, 1, 1], [0, 2, -1]], [[[0, 0], [0, 0]], [[1, 2], [0, 1]]], [3, 2]),
+         layout="sweep", scale=1.0, levels=3)
+@example(batch=([[1, 1, 1], [0, 2, -1]], [[[0, 0], [0, 0]], [[1, 2], [0, 1]]], [3, 2]),
+         layout="ladder", scale=1.0, levels=3)
+@example(batch=_LONG_CHAIN, layout="chain", scale=1.0, levels=260)
+def test_rows_first_kernels_match_the_rowwise_reference(batch, layout, scale, levels):
+    # the chain kernels run rows first with the same IEEE operations in the
+    # same order as the row-at-a-time reference, so every bit agrees:
+    # integer entries put midpoints on exact zero pivots, zero couplings
+    # (lam = 0 lanes) leave off2 = tiny and subnormal quotients, scales
+    # reach the subnormal and overflow ranges, the ladder layout meets
+    # inf - inf, and a 260-row chain counts past 255 negative pivots
+    diag, off, sizes = (np.array(part, dtype=float) for part in batch)
+    diag, off = diag * scale, off * scale
+    levels = min(levels, diag.shape[-1])
+    if layout == "chain":
+        diag, off = diag[0], off[0, 0]
+    elif layout == "ladder":
+        inside = np.arange(diag.shape[-1]) < sizes[:, None, None]
+        diag = np.where(inside, diag, np.inf)
+        off = np.where(inside[..., 1:], off, 0.0)
+        levels = min(levels, int(sizes.min()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = eigensolve._bisect(diag, off, levels)
+        assert values.tobytes() == oracle_tools.rowwise_bisect(diag, off, levels).tobytes()
+        if layout == "chain":
+            diag, off, values = diag[None], off[None, None], values[None, None]
+        if layout != "ladder":
+            vectors = eigensolve._inverse_iteration(diag, off, values)
+            reference = oracle_tools.rowwise_inverse_iteration(diag, off, values)
+            assert vectors.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "lams, n_max, levels",
+    [(np.linspace(0.0, 1.2, 121), 14, 8), (np.array([0.01, 0.02, 0.03]), 60, 8)],
+)
+def test_rows_first_kernels_match_the_rowwise_reference_on_model_grids(lams, n_max, levels):
+    # the default sweep grid, lam = 0 included, and a grid whose chains hold
+    # clusters of close eigenvalues, which inverse iteration orthogonalizes
+    _, diag, off = spectra._rabi_chain_arrays(ModelParams(), lams, ps.build_basis(n_max))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = eigensolve._bisect(diag, off, levels)
+        assert values.tobytes() == oracle_tools.rowwise_bisect(diag, off, levels).tobytes()
+        vectors = eigensolve._inverse_iteration(diag, off, values)
+    reference = oracle_tools.rowwise_inverse_iteration(diag, off, values)
+    assert vectors.tobytes() == reference.tobytes()
+    if n_max == 60:
+        radius = np.max(eigensolve._radius(diag, off), axis=1, keepdims=True)
+        assert np.any(np.diff(values) <= eigensolve._CLUSTER_GAP * radius)
+
+
+def test_rabi_chunks_bisect_a_large_grid_in_pieces_within_the_budget():
+    # bisection's rows-first arrays hold chain rows, so a grid past
+    # _BISECT_BYTES is bisected in pieces: the peak allocation of a pass
+    # stays within that budget plus the inverse-iteration chunk arrays and
+    # the grid's own off-diagonals, and the pieces give the bits of one
+    # whole-grid bisection
+    params, basis, levels = ModelParams(), ps.build_basis(60), 8
+    lams = np.linspace(0.0, 3.0, 401)
+    _, diag, off = spectra._rabi_chain_arrays(params, lams, basis)
+    whole_grid = (basis.dim - 1) * off.shape[0] * 2 * levels * 8
+    assert whole_grid > 4 * spectra._BISECT_BYTES
+    tracemalloc.start()
+    try:
+        chunks = spectra._rabi_chunks(params, lams, basis, levels, 1e-12)
+        values = [chains.values for _, chains in chunks]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= off.nbytes + spectra._BISECT_BYTES + 4 * spectra._CHUNK_BYTES
+    whole = eigensolve._bisect(diag, off, levels)
+    pieces = np.concatenate(values)
+    on = lams != 0.0
+    assert pieces[on].tobytes() == whole[on].tobytes()
+
+
+_THREE_POINT_SOLVE = """
+import sys
+import numpy as np
+from polariscope import ModelParams, build_basis, spectra
+lams = np.array([0.01, 0.02, 0.03])
+[(_, chains)] = spectra._rabi_chunks(ModelParams(), lams, build_basis(60), 8, 1e-12)
+sys.stdout.buffer.write(chains.values.tobytes() + chains.vectors.tobytes())
+"""
+
+
+@oracle_tools.needs_blas_kernel_choice
+def test_chain_eigenvectors_do_not_depend_on_the_blas_kernel():
+    # at lam = 0.01-0.03 and n_max 60 each chain holds clusters of close
+    # eigenvalues, which inverse iteration orthogonalizes; the projections
+    # sum in a fixed order, so Prescott gives the bits of the CPU's kernel
+    solved = {
+        kernel: oracle_tools.run_with_blas_kernel(kernel, _THREE_POINT_SOLVE)
+        for kernel in ("Prescott", None)
+    }
+    assert len(solved[None]) == 8 * 3 * 2 * 8 * (1 + 61)
+    assert solved["Prescott"] == solved[None]
 
 
 def test_overflowing_iterates_raise_nonconvergence_without_warnings():

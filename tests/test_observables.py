@@ -1,10 +1,5 @@
 import dataclasses
 import itertools
-import os
-import platform
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +9,8 @@ from hypothesis import strategies as st
 import polariscope as ps
 from polariscope import Atom, ModelParams, Parity
 from polariscope.observables import _observable_arrays
+
+import oracle_tools
 
 
 def _vector(basis, amplitudes):
@@ -226,26 +223,12 @@ def test_observables_do_not_depend_on_the_layout(lam, omega2, n_max):
                 assert line.raw_intensity == element * element
 
 
-def _dynamic_arch_openblas() -> bool:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        return False
-    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
-        "openblas configuration", ""
-    )
-
-
-@pytest.mark.skipif(
-    platform.machine().lower() not in ("x86_64", "amd64") or not _dynamic_arch_openblas(),
-    reason="OPENBLAS_CORETYPE picks the BLAS kernel only in a DYNAMIC_ARCH OpenBLAS on x86-64",
-)
+@oracle_tools.needs_blas_kernel_choice
 def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     # OpenBLAS picks its kernel from the CPU unless OPENBLAS_CORETYPE names
     # one; Prescott sums a BLAS product in another order than the kernels
     # of AVX CPUs, so the default sweep, spectrum and absorption runs must
     # write the same bytes under it as under the CPU's own kernel
-    src = Path(ps.__file__).resolve().parents[1]
     script = (
         "import sys\n"
         "from polariscope.cli import main\n"
@@ -254,18 +237,8 @@ def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     )
     written = {}
     for kernel in ("Prescott", None):
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-        env.pop("OPENBLAS_CORETYPE", None)
-        if kernel is not None:
-            env["OPENBLAS_CORETYPE"] = kernel
         out = tmp_path / str(kernel)
-        subprocess.run(
-            [sys.executable, "-c", script, str(out)],
-            env=env,
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
+        oracle_tools.run_with_blas_kernel(kernel, script, str(out))
         written[kernel] = {path.name: path.read_bytes() for path in out.iterdir()}
     assert {"fig4_left.csv", "spectrum.csv", "fig5.csv"} <= written[None].keys()
     assert written["Prescott"].keys() == written[None].keys()
