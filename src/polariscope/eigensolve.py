@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -60,9 +61,17 @@ INVERSE_STEPS = 2
 #: LAPACK's dstein).
 _CLUSTER_GAP = 1e-3
 
+#: Start vectors a cluster member gets after its first when it keeps less
+#: than ``_KEPT`` of its norm against the lower members.
+_RESTARTS = 3
+
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
+
+#: Fraction of its norm a cluster member must keep when it is projected
+#: against the lower members of its cluster.
+_KEPT = math.sqrt(_EPS)
 
 _PARITY_RANK = {Parity.EVEN: 0, Parity.ODD: 1, Parity.MIXED: 2}
 
@@ -117,6 +126,29 @@ def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
     # expression finite for extreme theta.
     t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + math.hypot(theta, 1.0))
     c = 1.0 / math.sqrt(t * t + 1.0)
+    return t, c, t * c
+
+
+def _rotations(
+    app: np.ndarray, aqq: np.ndarray, apq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_rotation`` of every broadcast triple at once, with the same
+    operations in the same order, so the same bits; where ``apq`` is 0 the
+    block is left as it is, (t, c, s) = (0, 1, 0).
+
+    The sign comes from ``theta >= 0`` (so -0.0 gives +1, and NaN -1), and
+    ``math.hypot`` runs on each theta, since ``np.hypot`` may differ from it
+    in the last bit.
+    """
+    # uncoupled blocks divide by zero, and are then reset
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta = 0.5 * (aqq - app) / apq
+        hypot = np.fromiter(map(math.hypot, theta.ravel().tolist(), repeat(1.0)), float)
+        t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + hypot.reshape(theta.shape))
+        c = 1.0 / np.sqrt(t * t + 1.0)
+    coupled = apq != 0.0
+    t = np.where(coupled, t, 0.0)
+    c = np.where(coupled, c, 1.0)
     return t, c, t * c
 
 
@@ -292,12 +324,13 @@ def _bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
     arises.
 
     The pivots of a halving are held rows first, in one (m, ..., levels)
-    buffer allocated once per call, and the squared off-diagonals are
-    broadcast once to the same layout: each row of the recurrence is one
-    divide and one subtract over all lanes, and the negative pivots are
-    counted once per halving.  The two arrays hold 2m - 1 rows of the
-    lanes' size; ``spectra._rabi_chunks`` bounds them by bisecting a large
-    grid in pieces.
+    buffer allocated once per call, and the diagonal and the squared
+    off-diagonals are broadcast once to the same layout: the shift is one
+    contiguous subtract, each row of the recurrence is one divide and one
+    subtract over all lanes, the negative pivots are counted once per
+    halving, and the brackets are updated in place.  The three arrays hold
+    3m - 1 rows of the lanes' size; ``spectra._rabi_chunks`` bounds them by
+    bisecting a large grid in pieces.
 
     A chain may be padded past its end with rows of diagonal +inf and
     off-diagonal 0: their pivots are +inf (or NaN after a zero pivot), and
@@ -314,7 +347,9 @@ def _bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
     lo = -hi
     index = np.arange(levels)
     m = diag.shape[-1]
-    shifted = _rows_first(diag, hi.ndim)
+    # contiguous, like off2 below: subtracting from the chains' own (m, 1,
+    # c, 1) diagonal makes numpy's inner loop only ``levels`` long
+    shifted = np.ascontiguousarray(np.broadcast_to(_rows_first(diag, hi.ndim), (m, *hi.shape)))
     q = np.empty((m, *hi.shape))
     t = np.empty(hi.shape)
     # holds the count of negative pivots, at most m
@@ -334,15 +369,62 @@ def _bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
                 np.subtract(row, t, row)
             # q < 0, not the sign bit: -0.0 and NaN pivots do not count
             above = np.less(q, 0).sum(axis=0, dtype=count) > index
-            hi = np.where(active & above, mid, hi)
-            lo = np.where(active & ~above, mid, lo)
+            np.copyto(hi, mid, where=active & above)
+            np.copyto(lo, mid, where=active & ~above)
     return 0.5 * (lo + hi)
 
 
-def _orthogonalize_clusters(v: np.ndarray, close: np.ndarray) -> None:
+def _start_vector(m: int, level: int, attempt: int) -> np.ndarray:
+    """A restart vector of ``m`` entries in [-1/2, 1/2), the splitmix64
+    finalizer of (row, level, attempt): unlike the affine hash of
+    ``_inverse_iteration``, no two levels' vectors differ by a constant."""
+    z = np.arange(m, dtype=np.uint64) + np.uint64((attempt << 42) + (level << 21))
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53 - 0.5
+
+
+def _project(cluster: np.ndarray, w: np.ndarray) -> bool:
+    """Gram-Schmidt ``w`` twice against the columns of ``cluster`` in place
+    and normalize it; whether it lost its direction, keeping less than
+    ``_KEPT`` of its norm (never for a non-finite ``w``, which no restart
+    mends, since its factorization overflowed too)."""
+    before = math.sqrt(_row_sums(w * w))
+    for _ in range(2):
+        # cluster @ (cluster.T @ w): over rows, then over members
+        w -= _row_sums((cluster * _row_sums(cluster * w[:, None])).T)
+    norm = math.sqrt(_row_sums(w * w))
+    w /= norm
+    return norm < _KEPT * before
+
+
+def _solve_step(w: np.ndarray, mult: np.ndarray, piv: np.ndarray) -> None:
+    """One inverse-iteration step on one vector ``w`` in place, with its
+    shift's factorization (``mult``, ``piv``) from ``_inverse_iteration``,
+    then normalization."""
+    for i in range(1, w.size):
+        w[i] -= mult[i - 1] * w[i - 1]
+    w /= piv
+    for i in range(w.size - 2, -1, -1):
+        w[i] -= mult[i] * w[i + 1]
+    w /= math.sqrt(_row_sums(w * w))
+
+
+def _orthogonalize_clusters(
+    v: np.ndarray, close: np.ndarray, mult: np.ndarray, piv: np.ndarray
+) -> None:
     """Gram-Schmidt each eigenvector ``v[:, i, s, k + 1]`` of (m, p, c, K)
     in place against the lower members of its cluster, where ``close``
     (p, c, K-1) marks eigenvalue k + 1 close to k.
+
+    A member that keeps less than ``_KEPT`` of its norm lay in the span of
+    the lower members, and what is left is little more than rounding noise.
+    It restarts from ``_start_vector``, then each of ``INVERSE_STEPS``
+    projects it and takes one step with the factorization ``mult``
+    (m-1, p, c, K) and ``piv`` (m, p, c, K) of its shift, up to
+    ``_RESTARTS`` times.  A member that passes keeps its bits.
 
     Each projection and norm adds its terms one at a time in a fixed order
     (the rule of ``observables``), so a vector's bits depend neither on the
@@ -353,11 +435,15 @@ def _orthogonalize_clusters(v: np.ndarray, close: np.ndarray) -> None:
         while first > 0 and close[point, s, first - 1]:
             first -= 1
         cluster = v[:, point, s, first : k + 1]
-        w = v[:, point, s, k + 1]
-        for _ in range(2):
-            # cluster @ (cluster.T @ w): over rows, then over members
-            w -= _row_sums((cluster * _row_sums(cluster * w[:, None])).T)
-        w /= math.sqrt(_row_sums(w * w))
+        lane = (slice(None), point, s, k + 1)
+        w = v[lane]
+        attempt = 0
+        while _project(cluster, w) and attempt < _RESTARTS:
+            attempt += 1
+            w[:] = _start_vector(w.size, k + 1, attempt)
+            for _ in range(INVERSE_STEPS):
+                _project(cluster, w)
+                _solve_step(w, mult[lane], piv[lane])
 
 
 def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -374,7 +460,9 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) ->
     Eigenvalues closer than ``_CLUSTER_GAP`` of that radius are
     Gram-Schmidt orthogonalized against the lower members of their cluster
     after every step, as in LAPACK's dstein, which also separates exact
-    ties (``_orthogonalize_clusters``).  Every operation acts on one point
+    ties; a member that the projection leaves without a direction of its
+    own restarts from a fresh start vector (``_orthogonalize_clusters``).
+    Every operation acts on one point
     and one eigenvector at a time, so a column's bits depend neither on the
     chunk nor on K.  Iterates that overflow leave non-finite vectors, which
     the residual check rejects.
@@ -413,7 +501,7 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) ->
                 np.multiply(factor, following, t)
                 np.subtract(row, t, row)
             v /= np.sqrt(np.sum(v * v, axis=0))
-            _orthogonalize_clusters(v, close)
+            _orthogonalize_clusters(v, close, mult, piv)
     return v
 
 

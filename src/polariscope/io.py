@@ -10,8 +10,12 @@ A plain ``float`` cell (``type(v) is float``; ``numpy.float64`` subclasses
 float but has its own repr) is written as its ``repr``, memoized per file.
 The memo is exact: equal floats have equal bits, and so the same repr,
 except 0.0 and -0.0, which are never stored; NaN equals nothing, and every
-NaN is written ``nan``.  Other cells go through ``format_value``, and every
-row is written by ``csv.writer``.
+NaN is written ``nan``.  Other cells go through ``format_value``.  A row's
+cells are joined by commas, unless ``csv.writer`` would quote one of them
+(a cell holding a comma, a quote or a line break, or the cell of a row of
+one empty field); such a row is written by ``csv.writer`` itself, so the
+bytes are always those of ``csv.writer`` with ``\n`` line endings.  Each
+file is written in one piece.
 
 Plot scripts are standalone matplotlib programs written next to the data;
 the package itself never renders anything.
@@ -77,52 +81,79 @@ def format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _csv_cells(row, texts: dict[float, str]) -> list[str]:
+class _FloatTexts(dict):
+    """The ``repr`` of each plain float looked up, memoized.  0.0 and -0.0
+    are equal but their reprs differ, so neither is stored."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
+class _Lines(list):
+    """A list that ``csv.writer`` writes its lines to."""
+
+    write = list.append
+
+
+def _csv_cells(row, texts: _FloatTexts) -> list[str]:
     """The ``format_value`` texts of ``row``, taking plain float texts from
     ``texts``."""
-    cells = []
-    for v in row:
-        if type(v) is float:
-            text = texts.get(v)
-            if text is None:
-                text = repr(v)
-                if v:  # 0.0 == -0.0, but their reprs differ
-                    texts[v] = text
-        else:
-            text = format_value(v)
-        cells.append(text)
-    return cells
+    return [texts[v] if type(v) is float else format_value(v) for v in row]
+
+
+def _csv_line(row, texts: _FloatTexts) -> str | None:
+    """The CSV line of ``row``, its cells joined by commas, or None when
+    ``csv.writer`` would quote a cell: one that holds a comma, a quote or a
+    line break, or the cell of a row of one empty field.
+
+    A row of plain floats is joined straight from the memo, since no float
+    text needs quoting; the type check matters, because an IntEnum cell
+    equals, and hashes as, the float of its value.
+    """
+    if set(map(type, row)) == {float}:
+        return ",".join(map(texts.__getitem__, row)) + "\n"
+    cells = _csv_cells(row, texts)
+    line = ",".join(cells)
+    if cells == [""] or line.count(",") >= len(cells) or any(c in line for c in '"\r\n'):
+        return None
+    return line + "\n"
 
 
 def emit_dataset(rows, schema, fmt: str, path) -> Path:
     """Write rows under a column schema as CSV or JSON.
 
     Every row must have exactly one value per schema column; each row is
-    checked as it is written, and a failed check raises SchemaMismatch with
-    ``path`` left as it was (see ``atomic_write``).  Returns the written
-    path.
+    checked before anything is written, and a failed check raises
+    SchemaMismatch with ``path`` left as it was (see ``atomic_write``).
+    The file is written in one piece.  Returns the written path.
     """
     if fmt not in FORMATS:
         raise UsageError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     schema = list(schema)
     path = Path(path)
+    if fmt == "csv":
+        lines = _Lines()
+        writer = csv.writer(lines, lineterminator="\n")
+        writer.writerow(schema)
+        texts = _FloatTexts()
+    payload = []
+    for i, row in enumerate(rows):
+        row = tuple(row)
+        if len(row) != len(schema):
+            raise SchemaMismatch(f"row {i} has {len(row)} fields, schema has {len(schema)}")
+        if fmt == "json":
+            payload.append({name: _native(v) for name, v in zip(schema, row)})
+        elif (line := _csv_line(row, texts)) is not None:
+            lines.append(line)
+        else:
+            writer.writerow(_csv_cells(row, texts))
     with atomic_write(path) as fh:
         if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(schema)
-            texts: dict[float, str] = {}
-        payload = []
-        for i, row in enumerate(rows):
-            row = tuple(row)
-            if len(row) != len(schema):
-                raise SchemaMismatch(
-                    f"row {i} has {len(row)} fields, schema has {len(schema)}"
-                )
-            if fmt == "csv":
-                writer.writerow(_csv_cells(row, texts))
-            else:
-                payload.append({name: _native(v) for name, v in zip(schema, row)})
-        if fmt == "json":
+            fh.write("".join(lines))
+        else:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return path

@@ -42,7 +42,7 @@ from .eigensolve import (
     _check_tol,
     _inverse_iteration,
     _point_system,
-    _rotation,
+    _rotations,
 )
 from .model import FockBasis, ModelParams, bare_energies, build_basis
 from .observables import _dipole_elements
@@ -51,15 +51,19 @@ from .observables import _dipole_elements
 DEFAULT_LINE_THRESHOLD = 1e-6
 
 #: Bytes that two (rows, points, chains, levels) float arrays of a chunk of
-#: grid points may take, so that the handful live at once stay near 1 MB.
-_CHUNK_BYTES = 2**17
+#: grid points may take.  Each chunk pays fixed costs (the row loops of
+#: inverse iteration, the observables and the table columns), so the default
+#: sweep (0.46 MB) runs as one chunk; its peak allocation, the handful of
+#: such arrays live at once, is ~1.4 MB.
+_CHUNK_BYTES = 2**19
 
 #: Bytes that bisection's rows-first arrays over a piece of the grid, its
-#: pivots and squared off-diagonals ((2m - 1, points, chains, levels) floats
-#: in all), may take.  The default sweep (~0.45 MB) and the converge ladder
-#: bisect in one piece; a larger grid is bisected piece by piece.  Pieces
-#: much shorter than the default grid slow bisection down, since each
-#: numpy call of its row loop then does little work.
+#: shifted diagonal, pivots and squared off-diagonals ((3m - 1, points,
+#: chains, levels) floats in all), may take.  The default sweep (~0.68 MB)
+#: and the converge ladder bisect in one piece; a larger grid is bisected
+#: piece by piece.  Pieces much shorter than the default grid slow
+#: bisection down, since each numpy call of its row loop then does little
+#: work.
 _BISECT_BYTES = 2**20
 
 
@@ -168,12 +172,13 @@ def _rabi_chunks(
     m = n_max + 1 = dim / 2, stay within ``_CHUNK_BYTES``.
 
     Bisection runs before the first chunk over the whole grid, in pieces
-    whose rows-first arrays, 2m - 1 rows of (points, 2, levels) floats,
+    whose rows-first arrays, 3m - 1 rows of (points, 2, levels) floats,
     stay within ``_BISECT_BYTES``.  Each point is bisected on its own, so
     its values do not depend on the piece.
     """
     rows, diag, off = _rabi_chain_arrays(params, lams, basis)
-    piece = max(1, _BISECT_BYTES // (8 * (basis.dim - 1) * 2 * levels))
+    m = basis.n_max + 1
+    piece = max(1, _BISECT_BYTES // (8 * (3 * m - 1) * 2 * levels))
     values = np.concatenate(
         [_bisect(diag, off[start : start + piece], levels) for start in range(0, lams.size, piece)]
     )
@@ -253,11 +258,12 @@ def _rwa_chains(
     """Every eigenpair of the rotating-wave Hamiltonian at each coupling of
     the chunk ``lams``, as chains of length 2, one per excitation block.
 
-    Each coupled block n = 1..n_max over (|e,n-1>, |g,n>) is turned by
-    ``_rotation``, as ``diagonalize`` turns the matrix, so both give the
-    same bits; uncoupled blocks, block 0 (|g,0>, |e,n_max>) among them, keep
-    t = 0.  The minus branch of a block is |e,n-1>'s rotation when |g,n>
-    lies at least as high, which also fixes the branches of a tie at lam = 0.
+    Each coupled block n = 1..n_max over (|e,n-1>, |g,n>) is turned by the
+    rotations ``_rotations`` computes for every block at once, with the
+    bits of the rotations ``diagonalize`` applies to the matrix;
+    uncoupled blocks, block 0 (|g,0>, |e,n_max>) among them, keep t = 0.
+    The minus branch of a block is |e,n-1>'s rotation when |g,n> lies at
+    least as high, which also fixes the branches of a tie at lam = 0.
     """
     n = np.arange(basis.n_max + 1)
     rows = np.stack([2 * n - 1, 2 * n], axis=1)
@@ -267,12 +273,7 @@ def _rwa_chains(
     with np.errstate(over="ignore", invalid="ignore"):
         diag = bare_energies(params, basis)[rows]
         off = lams[:, None, None] * np.sqrt(n[:, None].astype(float))
-        pairs = np.broadcast_to(diag, (*off.shape[:2], 2))
-        rotations = [
-            _rotation(app, aqq, apq) if apq != 0.0 else (0.0, 1.0, 0.0)
-            for (app, aqq), apq in zip(pairs.reshape(-1, 2).tolist(), off.ravel().tolist())
-        ]
-        t, c, s = np.reshape(rotations, (*off.shape[:2], 3)).transpose(2, 0, 1)
+        t, c, s = _rotations(diag[:, 0], diag[:, 1], off[..., 0])
         values = diag + np.stack([-t, t], axis=-1) * off
     v = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)])
     labels = np.where(diag[:, 1:] < diag[:, :1], rows[:, ::-1], rows)

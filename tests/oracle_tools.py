@@ -14,8 +14,10 @@ assembly of ``sweep_datasets``.  ``rowwise_bisect`` and
 ``rowwise_inverse_iteration`` are the chain kernels as they were before
 they ran rows first, one slice of the chain at a time: the bit reference
 for the library's kernels, which keep the same operations in the same
-order.  ``run_with_blas_kernel`` runs a script in a fresh process on a
-chosen OpenBLAS kernel, for tests that compare kernels.
+order.  ``broadcast_bisect`` is ``_bisect`` as it was before its shift
+was made contiguous and its brackets were updated in place, the reference
+for that change.  ``run_with_blas_kernel`` runs a script in a fresh
+process on a chosen OpenBLAS kernel, for tests that compare kernels.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from polariscope.eigensolve import (
     INVERSE_STEPS,
     _orthogonalize_clusters,
     _radius,
+    _rows_first,
 )
 from polariscope.experiments import _COLUMNS, _MODELS
 
@@ -355,5 +358,34 @@ def rowwise_inverse_iteration(
             for i in range(m - 2, -1, -1):
                 v[i] -= mult[i] * v[i + 1]
             v /= np.sqrt(np.sum(v * v, axis=0))
-            _orthogonalize_clusters(v, close)
+            _orthogonalize_clusters(v, close, mult, piv)
     return v
+
+
+def broadcast_bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
+    """``eigensolve._bisect`` with each halving's shift broadcast from the
+    chains' own diagonal and its brackets made anew by ``np.where``."""
+    radius = np.minimum(_radius(diag, off), 0.5 * _HUGE)
+    bound = 2.0 * _EPS * radius + _TINY
+    hi = radius + np.zeros(levels)
+    lo = -hi
+    index = np.arange(levels)
+    m = diag.shape[-1]
+    shifted = _rows_first(diag, hi.ndim)
+    q = np.empty((m, *hi.shape))
+    t = np.empty(hi.shape)
+    count = np.min_scalar_type(m)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        off2 = _rows_first(off * off + _TINY, hi.ndim)
+        off2 = np.ascontiguousarray(np.broadcast_to(off2, (m - 1, *hi.shape)))
+        steps = list(zip(off2, q[:-1], q[1:]))
+        while (active := hi - lo > bound).any():
+            mid = 0.5 * (lo + hi)
+            np.subtract(shifted, mid, q)
+            for o, previous, row in steps:
+                np.divide(o, previous, t)
+                np.subtract(row, t, row)
+            above = np.less(q, 0).sum(axis=0, dtype=count) > index
+            hi = np.where(active & above, mid, hi)
+            lo = np.where(active & ~above, mid, lo)
+    return 0.5 * (lo + hi)

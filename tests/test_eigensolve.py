@@ -514,6 +514,8 @@ def test_rows_first_kernels_match_the_rowwise_reference(batch, layout, scale, le
         warnings.simplefilter("error")
         values = eigensolve._bisect(diag, off, levels)
         assert values.tobytes() == oracle_tools.rowwise_bisect(diag, off, levels).tobytes()
+        # the contiguous shift and the in-place brackets keep its bits too
+        assert values.tobytes() == oracle_tools.broadcast_bisect(diag, off, levels).tobytes()
         if layout == "chain":
             diag, off, values = diag[None], off[None, None], values[None, None]
         if layout != "ladder":
@@ -534,6 +536,7 @@ def test_rows_first_kernels_match_the_rowwise_reference_on_model_grids(lams, n_m
         warnings.simplefilter("error")
         values = eigensolve._bisect(diag, off, levels)
         assert values.tobytes() == oracle_tools.rowwise_bisect(diag, off, levels).tobytes()
+        assert values.tobytes() == oracle_tools.broadcast_bisect(diag, off, levels).tobytes()
         vectors = eigensolve._inverse_iteration(diag, off, values)
     reference = oracle_tools.rowwise_inverse_iteration(diag, off, values)
     assert vectors.tobytes() == reference.tobytes()
@@ -547,11 +550,11 @@ def test_rabi_chunks_bisect_a_large_grid_in_pieces_within_the_budget():
     # _BISECT_BYTES is bisected in pieces: the peak allocation of a pass
     # stays within that budget plus the inverse-iteration chunk arrays and
     # the grid's own off-diagonals, and the pieces give the bits of one
-    # whole-grid bisection
+    # whole-grid bisection by the broadcast reference
     params, basis, levels = ModelParams(), ps.build_basis(60), 8
     lams = np.linspace(0.0, 3.0, 401)
     _, diag, off = spectra._rabi_chain_arrays(params, lams, basis)
-    whole_grid = (basis.dim - 1) * off.shape[0] * 2 * levels * 8
+    whole_grid = (3 * basis.dim // 2 - 1) * off.shape[0] * 2 * levels * 8
     assert whole_grid > 4 * spectra._BISECT_BYTES
     tracemalloc.start()
     try:
@@ -561,10 +564,98 @@ def test_rabi_chunks_bisect_a_large_grid_in_pieces_within_the_budget():
     finally:
         tracemalloc.stop()
     assert peak <= off.nbytes + spectra._BISECT_BYTES + 4 * spectra._CHUNK_BYTES
-    whole = eigensolve._bisect(diag, off, levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = oracle_tools.broadcast_bisect(diag, off, levels)
     pieces = np.concatenate(values)
     on = lams != 0.0
     assert pieces[on].tobytes() == whole[on].tobytes()
+
+
+def test_bisect_matches_the_broadcast_reference_on_the_converge_ladder():
+    # the stacked chains of _rabi_ladder for converge --n-max 63, padded
+    # past each rung's end with an infinite diagonal
+    rungs = [4, 6, 8, 10, 14, 20, 28, 40, 63]
+    _, diag, off = spectra._rabi_chain_arrays(
+        ModelParams(lam=1.0), np.array([1.0]), ps.build_basis(rungs[-1])
+    )
+    inside = np.arange(diag.shape[-1]) < (np.array(rungs) + 1)[:, None, None]
+    diag, off = np.where(inside, diag, np.inf), np.where(inside[..., 1:], off, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = eigensolve._bisect(diag, off, 7)
+        reference = oracle_tools.broadcast_bisect(diag, off, 7)
+    assert values.tobytes() == reference.tobytes()
+
+
+_ROTATION_ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, 1.5, 1e300, -1e300, 1.7e308,
+         math.inf, -math.inf, math.nan]
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(st.tuples(*[_ROTATION_ENTRIES] * 3), min_size=1, max_size=12),
+    scale=st.sampled_from([5e-324, 1e-300, 1.0, 1e300]),
+)
+# ties at lam = 0, and a tie with a negative coupling, whose theta is -0.0
+@example(blocks=[(1.5, 1.5, 0.0), (0.5, 2.5, -0.0), (2.5, 2.5, -1.0)], scale=1.0)
+@example(blocks=[(math.inf, 1.0, 0.5), (math.inf, math.inf, 0.5), (math.nan, 1.0, 2.0)],
+         scale=1.0)
+@example(blocks=[(0.0, 1.0, 5e-324), (1e300, -1e300, 1e-300)], scale=1e300)
+def test_vectorized_rotations_match_the_scalar_rotation(blocks, scale):
+    # _rotations computes _rotation for every block at once with the same
+    # operations in the same order, so it has its bits; uncoupled blocks
+    # are left as they are.  Entries scaled past the float range become inf
+    with np.errstate(over="ignore"):
+        app, aqq, apq = (np.array(column) * scale for column in zip(*blocks))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rotations = eigensolve._rotations(app, aqq, apq)
+        # the model's layout: one diagonal per block, couplings per point
+        stacked = eigensolve._rotations(app, aqq, np.stack([apq, apq[::-1]]))
+    expected = np.array(
+        [
+            eigensolve._rotation(p, q, o) if o != 0.0 else (0.0, 1.0, 0.0)
+            for p, q, o in zip(app.tolist(), aqq.tolist(), apq.tolist())
+        ]
+    ).T
+    for got, want, both in zip(rotations, expected, stacked):
+        assert got.tobytes() == want.tobytes()
+        assert both[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("omega_c, lam", [(1e-200, 1e-100), (1e-100, 1e-50)])
+def test_cluster_members_left_without_a_direction_restart(omega_c, lam):
+    # with omega_c that small each parity chain holds two clusters of 32
+    # levels tied to the last bit; the affine start vectors are
+    # rank-deficient on them, so members keep only rounding noise after the
+    # projection, and restart from splitmix64 start vectors
+    params = ModelParams(omega1=0.0, omega2=1.0, omega_c=omega_c, lam=lam)
+    basis = ps.build_basis(63)
+    starts = mock.patch.object(
+        eigensolve, "_start_vector", wraps=eigensolve._start_vector
+    )
+    with starts as restarted, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = ps.solve_rabi(params, basis)
+    assert restarted.call_count > 0
+    v = eig.eigenvectors
+    assert np.max(np.abs(v.T @ v - np.eye(basis.dim))) <= 1e-12
+    h = ps.build_rabi_hamiltonian(params, basis)
+    assert eig.residual <= 1e-12 * np.linalg.norm(h)
+
+
+def test_restart_vectors_are_independent_across_a_cluster():
+    # no two levels' restart vectors differ by a constant, unlike the
+    # affine hash, so a cluster of 64 members gets a full-rank set
+    starts = np.stack([eigensolve._start_vector(64, level, 1) for level in range(64)])
+    assert np.all((starts >= -0.5) & (starts < 0.5))
+    assert np.linalg.matrix_rank(starts) == 64
 
 
 _THREE_POINT_SOLVE = """

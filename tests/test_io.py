@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 from enum import Enum
 
 import numpy as np
@@ -161,16 +162,28 @@ _MIXED_ROWS = [
 ]
 
 
+_NAN = float("nan")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(rows=_TABLES)
 @example(rows=_MIXED_ROWS)
 @example(rows=[("",), (0.0,), (-0.0,), ("",)])
+# rows of plain floats are joined from the memo; an IntEnum, a bool or a
+# numpy scalar equal to a memoized float must not take its text
+@example(rows=[(1.0, 2.0, 3.0), (Regime.STRONG, Regime.ULTRA_STRONG, Regime.DEEP_STRONG),
+               (1.0, True, np.float64(1.0)), (np.int64(2), np.bool_(False), 0.0)])
+@example(rows=[(0.0, -0.0), (-0.0, 0.0), (_NAN, _NAN), (float("nan"), -0.0)])
+@example(rows=[("a,b", 'q"q'), ("cr\r", "lf\n"), ("\r", 1.0), (",", "")])
+@example(rows=[(), ()])
 def test_emit_matches_the_reference_writer(tmp_path_factory, fmt, rows):
     schema = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
     # each example replaces the previous file
     path = tmp_path_factory.getbasetemp() / f"emit.{fmt}"
-    ps.emit_dataset(rows, schema, fmt, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ps.emit_dataset(rows, schema, fmt, path)
     assert path.read_bytes() == _reference_text(rows, schema, fmt).encode("utf-8")
 
 
