@@ -4,8 +4,7 @@ Builds the full light-matter coupling Hamiltonian and its rotating-wave
 approximation over a truncated Fock product basis and solves them with
 in-house structured eigensolvers: Sturm-count bisection and inverse
 iteration on the two parity chains of the full model, closed-form 2x2
-excitation blocks for the RWA.  A dense Jacobi solver remains for general
-symmetric matrices and as a cross-check.  From the eigensystems it derives
+excitation blocks for the RWA.  From the eigensystems it derives
 polariton spectra, photon-number and atomic-energy observables, vacuum Rabi
 splittings, stick absorption spectra, coupling-regime labels, and
 figure-ready sweep datasets, tracking states across couplings by their
@@ -14,7 +13,6 @@ symmetry labels.
 
 from .errors import (
     BasisMismatch,
-    BlockLeak,
     NonConvergence,
     SchemaMismatch,
     UsageError,
@@ -29,9 +27,8 @@ from .model import (
     build_basis,
     build_rabi_hamiltonian,
     build_rwa_hamiltonian,
-    parity_blocks,
 )
-from .eigensolve import EigenSystem, diagonalize
+from .eigensolve import EigenSystem
 from .observables import (
     EnergyPartition,
     atomic_energy,
@@ -71,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom",
     "BasisMismatch",
-    "BlockLeak",
     "Branch",
     "ConvergenceRow",
     "Dataset",
@@ -98,12 +94,10 @@ __all__ = [
     "build_rwa_hamiltonian",
     "classify_regime",
     "convergence_study",
-    "diagonalize",
     "dipole_element",
     "emit_dataset",
     "emit_plot_script",
     "energy_partition",
-    "parity_blocks",
     "parse_config_file",
     "photon_number",
     "regime_from_label",

@@ -1,31 +1,22 @@
-"""Eigensolvers: a dense Jacobi solver for any real symmetric matrix, and
-batched kernels for symmetric tridiagonal chains, which the structured
-solvers of the two model Hamiltonians (``spectra.solve_rabi``,
-``spectra.solve_rwa``), the sweep tables of ``experiments.run_sweep`` and
-the truncation ladder of ``experiments.convergence_study`` are built from.
+"""Eigensolvers for symmetric tridiagonal chains, batched over a chunk of
+grid points, which the structured solvers of the two model Hamiltonians
+(``spectra.solve_rabi``, ``spectra.solve_rwa``), the sweep tables of
+``experiments.run_sweep`` and the truncation ladder of
+``experiments.convergence_study`` are built from.
 
 The chain kernels work on arrays over a chunk of grid points at once:
 Sturm-count bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967))
 for the lowest K eigenvalues of each chain, inverse iteration for their
-eigenvectors, then each point's worst residual and the sign convention of
-``diagonalize``.  Every point keeps its own spectral radius, so a point's
-bits do not depend on the chunk it is solved in, nor on K.  The row
-recurrences of bisection and inverse iteration hold the chain's row index
-on a leading axis, so each step down the chain is a couple of numpy calls
-over every point, chain and level at once.  No chain kernel calls BLAS:
-their bits do not depend on the kernel OpenBLAS picks for the CPU.
-``_point_system`` turns one point of complete chains into the
-``EigenSystem`` that ``diagonalize`` returns, with the same ordering and
-sign conventions.
-
-``diagonalize`` is a cyclic Jacobi method (row-sweep order): each sweep
-visits every strict upper-triangle pair (p, q) and applies a two-sided
-rotation annihilating that entry.  Rotations preserve symmetry exactly as
-stored, and because rotations are skipped when the target entry is already
-zero, matrices with an exact block structure (such as the parity blocks of
-the model Hamiltonians) never mix their blocks, so eigenvectors stay
-block-pure.  It remains the general-matrix API and the cross-check of the
-structured solvers.
+eigenvectors, then each point's worst residual and the sign convention
+(each eigenvector's largest component positive).  Every point keeps its own
+spectral radius, so a point's bits do not depend on the chunk it is solved
+in, nor on K.  The row recurrences of bisection and inverse iteration hold
+the chain's row index on a leading axis, so each step down the chain is a
+couple of numpy calls over every point, chain and level at once.  No chain
+kernel calls BLAS: their bits do not depend on the kernel OpenBLAS picks for
+the CPU.  ``_rotations`` gives the closed-form rotations of 2x2 blocks, and
+``_point_system`` turns one point of complete chains into a sorted
+``EigenSystem``.
 """
 
 from __future__ import annotations
@@ -36,19 +27,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import BasisMismatch, NonConvergence, ValidationError
+from .errors import NonConvergence, ValidationError
 from .model import FockBasis, Parity
 from .observables import _row_sums
 
-#: Default convergence tolerance, relative to the Frobenius norm.
+#: Default bound on the worst eigenpair residual, relative to the Frobenius
+#: norm of the Hamiltonian.
 DEFAULT_TOL = 1e-12
-
-#: Default sweep budget before NonConvergence is raised.
-DEFAULT_MAX_SWEEPS = 64
-
-#: Summed squared amplitude on opposite-parity basis states above which an
-#: eigenvector is tagged MIXED instead of EVEN/ODD.
-PARITY_TOL = 1e-10
 
 #: Inverse-iteration steps per eigenvector.  The shifts come from bisection
 #: to full precision, so one step already amplifies the wanted eigenvector by
@@ -73,78 +58,64 @@ _HUGE = float(np.finfo(float).max)
 #: against the lower members of its cluster.
 _KEPT = math.sqrt(_EPS)
 
-_PARITY_RANK = {Parity.EVEN: 0, Parity.ODD: 1, Parity.MIXED: 2}
-
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Sorted orthonormal eigenpairs of a real symmetric matrix.
+    """Sorted orthonormal eigenpairs of a model Hamiltonian.
 
     ``eigenvalues`` is ascending and ``eigenvectors[:, k]`` is the unit
-    eigenvector of ``eigenvalues[k]``.  ``parities[k]`` labels eigenvector k
-    as EVEN/ODD: by construction from the structured solvers, and from
-    ``diagonalize`` when its weight on the opposite-parity basis states is at
-    most ``PARITY_TOL`` (MIXED otherwise; None when no basis was supplied).
-    ``sweeps`` counts Jacobi sweeps or inverse-iteration steps.
-    ``residual`` is the final off-diagonal Frobenius norm for Jacobi and the
-    worst eigenpair residual ||Hv - Ev|| for the structured solvers.
+    eigenvector of ``eigenvalues[k]``; exact ties are ordered EVEN before
+    ODD, then by the row of each eigenvector's largest component, which is
+    positive.  ``parities[k]`` is the EVEN/ODD sector eigenvector k lies in,
+    known by construction.  ``sweeps`` counts the inverse-iteration steps
+    behind each eigenvector (1 for the closed-form RWA blocks), and
+    ``residual`` is the worst eigenpair residual ||Hv - Ev||.
 
-    ``labels`` (structured solvers only, else None) names each eigenvector
-    by symmetry, with the same integer for the same state at every coupling,
-    so sweeps track states by label.  Labels are a permutation of
-    0..dim-1: ``2 * rank + (0 even, 1 odd)`` for the full model, where rank
-    counts upward within the parity chain, and for the RWA ``2n - 1`` and
-    ``2n`` for the minus and plus branch of excitation block n, with 0 for
-    |g,0> and ``dim - 1`` for |e,n_max>.
+    ``labels`` names each eigenvector by symmetry, with the same integer
+    for the same state at every coupling, so sweeps track states by label.
+    Labels are a permutation of 0..dim-1: ``2 * rank + (0 even, 1 odd)``
+    for the full model, where rank counts upward within the parity chain,
+    and for the RWA ``2n - 1`` and ``2n`` for the minus and plus branch of
+    excitation block n, with 0 for |g,0> and ``dim - 1`` for |e,n_max>.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    parities: tuple[Parity, ...] | None
+    parities: tuple[Parity, ...]
     sweeps: int
     residual: float
-    labels: np.ndarray | None = None
+    labels: np.ndarray
 
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.size)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    """Frobenius norm of the strict off-diagonal part."""
-    return float(math.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)))
-
-
-def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
-    """Jacobi rotation (t, c, s) that annihilates apq in [[app, apq], [apq, aqq]].
-
-    The rotated diagonal is (app - t*apq, aqq + t*apq), with eigenvectors
-    (c, -s) and (s, c) over (p, q).
-    """
-    theta = 0.5 * (aqq - app) / apq
-    # Smaller-angle root of t^2 + 2t*theta - 1 = 0; hypot keeps the
-    # expression finite for extreme theta.
-    t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + math.hypot(theta, 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    return t, c, t * c
-
-
 def _rotations(
     app: np.ndarray, aqq: np.ndarray, apq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_rotation`` of every broadcast triple at once, with the same
-    operations in the same order, so the same bits; where ``apq`` is 0 the
-    block is left as it is, (t, c, s) = (0, 1, 0).
+    """The Jacobi rotations (t, c, s) that annihilate ``apq`` in the 2x2
+    blocks [[app, apq], [apq, aqq]], for every broadcast triple at once.
 
-    The sign comes from ``theta >= 0`` (so -0.0 gives +1, and NaN -1), and
-    ``math.hypot`` runs on each theta, since ``np.hypot`` may differ from it
-    in the last bit.
+    The rotated diagonal is (app - t*apq, aqq + t*apq), with eigenvectors
+    (c, -s) and (s, c) over (p, q).  t is the smaller-angle root of
+    t^2 + 2t*theta - 1 = 0, with theta = 0.5 * (aqq - app) / apq:
+    t = sign / (|theta| + hypot(theta, 1)), c = 1 / sqrt(t*t + 1) and
+    s = t*c, each block with the bits of this scalar formula evaluated in
+    that order.  Where ``apq`` is 0 the block is left as it is,
+    (t, c, s) = (0, 1, 0).  The sign comes from ``theta >= 0`` (so -0.0
+    gives +1), and ``math.hypot`` runs on each theta, since ``np.hypot`` may
+    differ from it in the last bit.  A NaN theta gives t, c and s the
+    default quiet NaN: IEEE 754 leaves open which payload an operation on
+    two NaNs keeps, and numpy's loops and CPython's float arithmetic keep
+    different ones, so the formula alone does not fix those bits.
     """
     # uncoupled blocks divide by zero, and are then reset
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         theta = 0.5 * (aqq - app) / apq
         hypot = np.fromiter(map(math.hypot, theta.ravel().tolist(), repeat(1.0)), float)
         t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + hypot.reshape(theta.shape))
+        t = np.where(theta == theta, t, np.nan)
         c = 1.0 / np.sqrt(t * t + 1.0)
     coupled = apq != 0.0
     t = np.where(coupled, t, 0.0)
@@ -152,144 +123,9 @@ def _rotations(
     return t, c, t * c
 
 
-def _jacobi(a: np.ndarray, tol: float, max_sweeps: int):
-    """Run cyclic Jacobi sweeps in place; return (diag, vectors, sweeps, off).
-
-    A matrix whose largest entry lies outside [2**-250, 2**250] is first
-    scaled by the power of two that brings that entry into [0.5, 1), and
-    ``diag`` and ``off`` are scaled back.  Otherwise the squares behind
-    ``tol * ||A||_F`` and the off-diagonal norm underflow to 0 for entries
-    below ~1e-154 (or overflow above ~1e154), and iteration stops before it
-    starts.  Other matrices are not scaled, so their results keep every bit,
-    subnormal entries included.
-    """
-    n = a.shape[0]
-    v = np.eye(n)
-    exponent = math.frexp(float(np.max(np.abs(a))))[1]
-    if abs(exponent) <= 250:
-        exponent = 0
-    np.ldexp(a, -exponent, out=a)
-    threshold = tol * float(np.linalg.norm(a))
-    off = _off_norm(a)
-    for sweep in range(max_sweeps):
-        if off <= threshold:
-            return np.ldexp(np.diagonal(a), exponent), v, sweep, math.ldexp(off, exponent)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                t, c, s = _rotation(app, aqq, apq)
-                for rows in (a, v.T):
-                    old_p = rows[p].copy()
-                    rows[p] = c * old_p - s * rows[q]
-                    rows[q] = s * old_p + c * rows[q]
-                # Mirror the rotated rows into the columns so symmetry holds
-                # exactly, then set the 2x2 block from its closed form.
-                a[:, p] = a[p, :]
-                a[:, q] = a[q, :]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-        off = _off_norm(a)
-    off, threshold = math.ldexp(off, exponent), math.ldexp(threshold, exponent)
-    if off <= threshold:
-        return np.ldexp(np.diagonal(a), exponent), v, max_sweeps, off
-    raise NonConvergence(
-        f"off-diagonal residual {off:.3e} above threshold {threshold:.3e} "
-        f"after {max_sweeps} sweeps",
-        residual=off,
-    )
-
-
-def _sorted_system(values, dominant, parities, vectors, sweeps, residual, labels=None):
-    """Read-only EigenSystem sorted by eigenvalue, exact ties by parity (EVEN
-    < ODD < MIXED) and then by ``dominant``, the row of each eigenvector's
-    largest component."""
-    rank = [0] * values.size if parities is None else [_PARITY_RANK[p] for p in parities]
-    order = np.lexsort((dominant, rank, values))
-    values = values[order]
-    vectors = vectors[:, order]
-    if parities is not None:
-        parities = tuple(parities[i] for i in order)
-    if labels is not None:
-        labels = labels[order]
-        labels.setflags(write=False)
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenSystem(values, vectors, parities, sweeps, residual, labels)
-
-
-def _tag_parities(v: np.ndarray, basis: FockBasis) -> tuple[Parity, ...]:
-    even_mass, odd_mass = (np.sum(v[rows] ** 2, axis=0) for rows in basis.parity_chains)
-    return tuple(
-        Parity.EVEN if odd <= PARITY_TOL
-        else Parity.ODD if even <= PARITY_TOL
-        else Parity.MIXED
-        for even, odd in zip(even_mass, odd_mass)
-    )
-
-
-def _validate_symmetric(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError("matrix entries must all be finite")
-    if not np.array_equal(a, a.T):
-        raise ValidationError("matrix must be exactly symmetric as stored")
-    return a
-
-
 def _check_tol(tol: float) -> None:
     if not tol > 0:
         raise ValidationError(f"tol must be > 0, got {tol!r}")
-
-
-def diagonalize(
-    matrix,
-    basis: FockBasis | None = None,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> EigenSystem:
-    """Diagonalize a dense real symmetric matrix with cyclic Jacobi sweeps.
-
-    ``tol`` is relative to the Frobenius norm: iteration stops once the
-    off-diagonal norm is at most ``tol * ||A||_F``.  That bounds the error of
-    each eigenvalue quadratically in the off-diagonal norm, but the error of
-    each eigenvector only linearly: eigenvectors are accurate to about
-    ``tol * ||A||_F / gap``, with gap the distance to the nearest other
-    eigenvalue.
-
-    Eigenvalues come back ascending; exact degeneracies are ordered by
-    parity tag (EVEN < ODD < MIXED) and then by the row index of each
-    eigenvector's largest-magnitude component, which together with the
-    positive-leading-component sign convention makes the output
-    deterministic.  Passing the ``basis`` the matrix was built over enables
-    the parity tags.
-
-    Raises NonConvergence if the sweep budget is exhausted, ValidationError
-    for non-square, non-finite, or asymmetric input, and BasisMismatch if the
-    matrix dimension disagrees with the supplied basis.
-    """
-    a = _validate_symmetric(matrix)
-    if basis is not None and len(basis) != a.shape[0]:
-        raise BasisMismatch(
-            f"matrix dimension {a.shape[0]} does not match basis dimension {len(basis)}"
-        )
-    _check_tol(tol)
-    if max_sweeps < 0:
-        raise ValidationError(f"max_sweeps must be >= 0, got {max_sweeps!r}")
-
-    diag, v, sweeps, off = _jacobi(a.copy(), tol, max_sweeps)
-    # largest-magnitude component positive; ties go to the lowest index
-    dominant = np.argmax(np.abs(v), axis=0)
-    v[:, v[dominant, np.arange(v.shape[1])] < 0.0] *= -1.0
-    parities = None if basis is None else _tag_parities(v, basis)
-    return _sorted_system(diag, dominant, parities, v, sweeps, off)
 
 
 def _radius(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -552,14 +388,19 @@ def _check_residuals(lams: np.ndarray, *models: _Chains) -> None:
 
 
 def _point_system(basis: FockBasis, chains: _Chains, point: int, sweeps: int) -> EigenSystem:
-    """The EigenSystem of one point of chains that hold every eigenpair,
-    each vector written once into a dense matrix in chain-major column
-    order, which ``_sorted_system`` sorts."""
+    """The read-only EigenSystem of one point of chains that hold every
+    eigenpair, each vector written once into a dense matrix in chain-major
+    column order, then sorted by eigenvalue, exact ties EVEN before ODD and
+    then by ``dominant``, the row of each eigenvector's largest component."""
     rows, dominant = chains.rows, chains.dominant[point].ravel()
     vectors = np.zeros((basis.dim, basis.dim))
     columns = np.arange(dominant.size).reshape(rows.shape[0], -1)
     vectors[rows[:, :, None], columns[:, None]] = chains.vectors[:, point].transpose(1, 0, 2)
-    parities = [Parity.EVEN if s > 0 else Parity.ODD for s in basis.parity_signs[dominant]]
-    values, labels = chains.values[point].ravel(), chains.labels.ravel()
-    residual = float(chains.residual[point])
-    return _sorted_system(values, dominant, parities, vectors, sweeps, residual, labels)
+    odd = basis.parity_signs[dominant] < 0
+    values = chains.values[point].ravel()
+    order = np.lexsort((dominant, odd, values))
+    values, vectors, labels = values[order], vectors[:, order], chains.labels.ravel()[order]
+    for array in (values, vectors, labels):
+        array.setflags(write=False)
+    parities = tuple(Parity.ODD if o else Parity.EVEN for o in odd[order].tolist())
+    return EigenSystem(values, vectors, parities, sweeps, float(chains.residual[point]), labels)

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BasisMismatch, BlockLeak, ValidationError
+from .errors import ValidationError
 
 
 class Atom(Enum):
@@ -39,16 +39,12 @@ class Atom(Enum):
 
 
 class Parity(Enum):
-    """Excitation-number parity label.
-
-    Basis states are always EVEN or ODD; MIXED is reserved for eigenvectors
-    with weight on both parity sectors (possible only for matrices that do
-    not respect the parity block structure).
-    """
+    """Excitation-number parity: the sector of a basis state, and of every
+    eigenvector of the full Hamiltonian, which couples only states of equal
+    parity."""
 
     EVEN = "even"
     ODD = "odd"
-    MIXED = "mixed"
 
     def __str__(self) -> str:
         return self.value
@@ -221,36 +217,3 @@ def build_rwa_hamiltonian(params: ModelParams, basis: FockBasis) -> np.ndarray:
     sigma_plus = np.array([[0.0, 0.0], [1.0, 0.0]])  # |e><g|
     raising = np.kron(a, sigma_plus)
     return _bare_hamiltonian(params, basis) + params.lam * (raising + raising.T)
-
-
-def parity_blocks(matrix, basis: FockBasis):
-    """Split a matrix into its even- and odd-parity principal submatrices.
-
-    Returns ``(even_block, odd_block, permutation)`` where ``permutation``
-    lists the even-parity basis indices followed by the odd-parity ones, so
-    ``matrix[np.ix_(permutation, permutation)]`` is block diagonal with the
-    two returned blocks.  Raises BlockLeak if any cross-parity entry is
-    nonzero, which signals a builder bug.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] != len(basis):
-        raise BasisMismatch(
-            f"matrix dimension {a.shape[0]} does not match basis dimension {len(basis)}"
-        )
-    even_idx, odd_idx = basis.parity_chains
-    cross = a[np.ix_(even_idx, odd_idx)]
-    cross_t = a[np.ix_(odd_idx, even_idx)]
-    leaks = int(np.count_nonzero(cross)) + int(np.count_nonzero(cross_t))
-    if leaks:
-        worst = max(float(np.abs(cross).max()), float(np.abs(cross_t).max()))
-        raise BlockLeak(
-            f"{leaks} nonzero cross-parity entries (largest magnitude {worst:.3e})"
-        )
-    permutation = np.concatenate([even_idx, odd_idx])
-    return (
-        a[np.ix_(even_idx, even_idx)],
-        a[np.ix_(odd_idx, odd_idx)],
-        permutation,
-    )

@@ -241,9 +241,9 @@ def solve_rabi(
     state; a tie within a chain is ranked as a small coupling splits it at
     resonance, the state with more photons lower.
 
-    ``tol`` keeps its Jacobi meaning as a bound relative to ``||H||_F``: a
-    worst eigenpair residual ``||Hv - Ev||`` above ``tol * ||H||_F`` raises
-    NonConvergence with the coupling attached.
+    ``tol`` is a bound relative to ``||H||_F``: a worst eigenpair residual
+    ``||Hv - Ev||`` above ``tol * ||H||_F`` raises NonConvergence with the
+    coupling attached.
     """
     _check_tol(tol)
     lams = np.array([params.lam])
@@ -259,8 +259,7 @@ def _rwa_chains(
     the chunk ``lams``, as chains of length 2, one per excitation block.
 
     Each coupled block n = 1..n_max over (|e,n-1>, |g,n>) is turned by the
-    rotations ``_rotations`` computes for every block at once, with the
-    bits of the rotations ``diagonalize`` applies to the matrix;
+    Jacobi rotation that ``_rotations`` computes for every block at once;
     uncoupled blocks, block 0 (|g,0>, |e,n_max>) among them, keep t = 0.
     The minus branch of a block is |e,n-1>'s rotation when |g,n> lies at
     least as high, which also fixes the branches of a tie at lam = 0.

@@ -18,15 +18,23 @@ order.  ``broadcast_bisect`` is ``_bisect`` as it was before its shift
 was made contiguous and its brackets were updated in place, the reference
 for that change.  ``run_with_blas_kernel`` runs a script in a fresh
 process on a chosen OpenBLAS kernel, for tests that compare kernels.
+
+``diagonalize`` is a dense cyclic Jacobi solver for any real symmetric
+matrix, and ``parity_blocks`` splits a model matrix into its two parity
+blocks.  Jacobi shares no code with the chain solvers: it is a
+cross-check of them on the built matrices, and the bit reference of the
+RWA rotations, which ``solve_rwa`` applies with the same operations.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import platform
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +44,7 @@ import scipy.linalg
 import polariscope as ps
 from polariscope import EigenSystem, Parity, ValidationError
 from polariscope.eigensolve import (
+    DEFAULT_TOL,
     _CLUSTER_GAP,
     _EPS,
     _HUGE,
@@ -389,3 +398,204 @@ def broadcast_bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarr
             hi = np.where(active & above, mid, hi)
             lo = np.where(active & ~above, mid, lo)
     return 0.5 * (lo + hi)
+
+
+#: Sweep budget of ``diagonalize`` before NonConvergence is raised.
+DEFAULT_MAX_SWEEPS = 64
+
+#: Summed squared amplitude on opposite-parity basis states above which
+#: ``diagonalize`` tags an eigenvector as mixed (None) instead of EVEN/ODD.
+PARITY_TOL = 1e-10
+
+
+class BlockLeak(ValueError):
+    """Nonzero matrix entry between opposite-parity basis states: a
+    Hamiltonian-builder bug, since parity superselection requires such
+    entries to be exactly zero."""
+
+
+@dataclass(frozen=True)
+class JacobiSystem:
+    """Sorted orthonormal eigenpairs from ``diagonalize``.
+
+    ``parities[k]`` tags eigenvector k EVEN or ODD when its weight on the
+    opposite-parity basis states is at most ``PARITY_TOL``, and None (mixed)
+    otherwise; ``parities`` is None when no basis was supplied.  ``sweeps``
+    counts Jacobi sweeps, and ``residual`` is the final off-diagonal
+    Frobenius norm.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    parities: tuple[Parity | None, ...] | None
+    sweeps: int
+    residual: float
+
+    @property
+    def dim(self) -> int:
+        return int(self.eigenvalues.size)
+
+
+def _off_norm(a: np.ndarray) -> float:
+    """Frobenius norm of the strict off-diagonal part."""
+    return float(math.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)))
+
+
+def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
+    """Jacobi rotation (t, c, s) that annihilates apq in [[app, apq], [apq, aqq]].
+
+    The rotated diagonal is (app - t*apq, aqq + t*apq), with eigenvectors
+    (c, -s) and (s, c) over (p, q).  A NaN theta gives the default quiet
+    NaN for all three: which payload an operation on two NaNs keeps is left
+    open by IEEE 754, and CPython's specialized float addition keeps a
+    different one than its generic one.
+    """
+    theta = 0.5 * (aqq - app) / apq
+    if theta != theta:
+        return math.nan, math.nan, math.nan
+    # Smaller-angle root of t^2 + 2t*theta - 1 = 0; hypot keeps the
+    # expression finite for extreme theta.
+    t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + math.hypot(theta, 1.0))
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    return t, c, t * c
+
+
+def _jacobi(a: np.ndarray, tol: float, max_sweeps: int):
+    """Run cyclic Jacobi sweeps in place; return (diag, vectors, sweeps, off).
+
+    A matrix whose largest entry lies outside [2**-250, 2**250] is first
+    scaled by the power of two that brings that entry into [0.5, 1), and
+    ``diag`` and ``off`` are scaled back.  Otherwise the squares behind
+    ``tol * ||A||_F`` and the off-diagonal norm underflow to 0 for entries
+    below ~1e-154 (or overflow above ~1e154), and iteration stops before it
+    starts.  Other matrices are not scaled, so their results keep every bit,
+    subnormal entries included.
+    """
+    n = a.shape[0]
+    v = np.eye(n)
+    exponent = math.frexp(float(np.max(np.abs(a))))[1]
+    if abs(exponent) <= 250:
+        exponent = 0
+    np.ldexp(a, -exponent, out=a)
+    threshold = tol * float(np.linalg.norm(a))
+    off = _off_norm(a)
+    for sweep in range(max_sweeps):
+        if off <= threshold:
+            return np.ldexp(np.diagonal(a), exponent), v, sweep, math.ldexp(off, exponent)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                app = a[p, p]
+                aqq = a[q, q]
+                t, c, s = _rotation(app, aqq, apq)
+                for rows in (a, v.T):
+                    old_p = rows[p].copy()
+                    rows[p] = c * old_p - s * rows[q]
+                    rows[q] = s * old_p + c * rows[q]
+                # Mirror the rotated rows into the columns so symmetry holds
+                # exactly, then set the 2x2 block from its closed form.
+                a[:, p] = a[p, :]
+                a[:, q] = a[q, :]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+        off = _off_norm(a)
+    off, threshold = math.ldexp(off, exponent), math.ldexp(threshold, exponent)
+    if off <= threshold:
+        return np.ldexp(np.diagonal(a), exponent), v, max_sweeps, off
+    raise ps.NonConvergence(
+        f"off-diagonal residual {off:.3e} above threshold {threshold:.3e} "
+        f"after {max_sweeps} sweeps",
+        residual=off,
+    )
+
+
+def _tag_parities(v: np.ndarray, basis: ps.FockBasis) -> tuple[Parity | None, ...]:
+    even_mass, odd_mass = (np.sum(v[rows] ** 2, axis=0) for rows in basis.parity_chains)
+    return tuple(
+        Parity.EVEN if odd <= PARITY_TOL
+        else Parity.ODD if even <= PARITY_TOL
+        else None
+        for even, odd in zip(even_mass, odd_mass)
+    )
+
+
+def _validate_symmetric(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix entries must all be finite")
+    if not np.array_equal(a, a.T):
+        raise ValidationError("matrix must be exactly symmetric as stored")
+    return a
+
+
+def diagonalize(
+    matrix,
+    basis: ps.FockBasis | None = None,
+    *,
+    tol: float = DEFAULT_TOL,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+) -> JacobiSystem:
+    """Diagonalize a dense real symmetric matrix with cyclic Jacobi sweeps
+    (row-sweep order): each sweep visits every strict upper-triangle pair
+    (p, q) and applies a two-sided rotation annihilating that entry.
+
+    Rotations are skipped where the target entry is already zero, so a
+    matrix with an exact block structure (such as the parity blocks of the
+    model Hamiltonians) never mixes its blocks.  Iteration stops once the
+    off-diagonal norm is at most ``tol * ||A||_F``.  That bounds the error
+    of each eigenvalue quadratically in the off-diagonal norm, but the error
+    of each eigenvector only linearly: eigenvectors are accurate to about
+    ``tol * ||A||_F / gap``, with gap the distance to the nearest other
+    eigenvalue.
+
+    Eigenvalues come back ascending; exact ties are ordered by parity tag
+    (EVEN < ODD < mixed) and then by the row index of each eigenvector's
+    largest-magnitude component, which is made positive (ties to the
+    lowest index).  Passing the ``basis`` the matrix was built over enables
+    the parity tags.  Raises NonConvergence if the sweep budget is exhausted
+    and ValidationError for non-square, non-finite, or asymmetric input.
+    """
+    a = _validate_symmetric(matrix)
+    diag, v, sweeps, off = _jacobi(a.copy(), tol, max_sweeps)
+    dominant = np.argmax(np.abs(v), axis=0)
+    v[:, v[dominant, np.arange(v.shape[1])] < 0.0] *= -1.0
+    parities = None if basis is None else _tag_parities(v, basis)
+    rank = [0] * diag.size if parities is None else [
+        {Parity.EVEN: 0, Parity.ODD: 1, None: 2}[p] for p in parities
+    ]
+    order = np.lexsort((dominant, rank, diag))
+    if parities is not None:
+        parities = tuple(parities[i] for i in order)
+    return JacobiSystem(diag[order], v[:, order], parities, sweeps, off)
+
+
+def parity_blocks(matrix: np.ndarray, basis: ps.FockBasis):
+    """Split a model matrix into its even- and odd-parity principal
+    submatrices.
+
+    Returns ``(even_block, odd_block, permutation)`` where ``permutation``
+    lists the even-parity basis indices followed by the odd-parity ones, so
+    ``matrix[np.ix_(permutation, permutation)]`` is block diagonal with the
+    two returned blocks.  Raises BlockLeak if any cross-parity entry is
+    nonzero, which signals a builder bug.
+    """
+    even_idx, odd_idx = basis.parity_chains
+    cross = matrix[np.ix_(even_idx, odd_idx)]
+    cross_t = matrix[np.ix_(odd_idx, even_idx)]
+    leaks = int(np.count_nonzero(cross)) + int(np.count_nonzero(cross_t))
+    if leaks:
+        worst = max(float(np.abs(cross).max()), float(np.abs(cross_t).max()))
+        raise BlockLeak(
+            f"{leaks} nonzero cross-parity entries (largest magnitude {worst:.3e})"
+        )
+    permutation = np.concatenate([even_idx, odd_idx])
+    return (
+        matrix[np.ix_(even_idx, even_idx)],
+        matrix[np.ix_(odd_idx, odd_idx)],
+        permutation,
+    )

@@ -22,12 +22,12 @@ def _check(record, number: int, ok: bool, detail: str) -> None:
 
 def _rwa_eig(params, n_max=14):
     basis = ps.build_basis(n_max)
-    return basis, ps.diagonalize(ps.build_rwa_hamiltonian(params, basis), basis)
+    return basis, ps.solve_rwa(params, basis)
 
 
 def _full_eig(params, n_max=14):
     basis = ps.build_basis(n_max)
-    return basis, ps.diagonalize(ps.build_rabi_hamiltonian(params, basis), basis)
+    return basis, ps.solve_rabi(params, basis)
 
 
 def test_criterion_1_rwa_matches_closed_form(record):
@@ -238,13 +238,12 @@ def test_criterion_8_structural_exactness(record, tmp_path):
     params = ModelParams(lam=0.8)
     basis = ps.build_basis(14)
     h = ps.build_rabi_hamiltonian(params, basis)
-    # block leak: parity_blocks validates every cross-parity entry is 0.0
-    try:
-        ps.parity_blocks(h, basis)
-        leak_free = True
-    except ps.BlockLeak:
-        leak_free = False
-    eig = ps.diagonalize(h, basis)
+    # block leak: every entry between the even and the odd chain is 0.0
+    even, odd = basis.parity_chains
+    leak_free = not np.count_nonzero(h[np.ix_(even, odd)]) and not np.count_nonzero(
+        h[np.ix_(odd, even)]
+    )
+    _, eig = _full_eig(params)
     signs = basis.parity_signs
     cross_amp = 0.0
     for k in range(basis.dim):

@@ -26,8 +26,13 @@ def _full_system(lam: float, n_max: int = 14):
     return basis, h
 
 
+def _full_eig(lam: float, n_max: int = 14):
+    basis = ps.build_basis(n_max)
+    return basis, ps.solve_rabi(ModelParams(lam=lam), basis)
+
+
 def test_identity_matrix_ordering_and_vectors():
-    eig = ps.diagonalize(np.eye(4))
+    eig = oracle_tools.diagonalize(np.eye(4))
     assert np.array_equal(eig.eigenvalues, np.ones(4))
     assert np.array_equal(eig.eigenvectors, np.eye(4))
     assert eig.sweeps == 0
@@ -36,14 +41,14 @@ def test_identity_matrix_ordering_and_vectors():
 
 def test_identity_with_basis_orders_by_parity_then_position():
     basis = ps.build_basis(1)
-    eig = ps.diagonalize(np.eye(4), basis)
+    eig = oracle_tools.diagonalize(np.eye(4), basis)
     # all eigenvalues tie; even columns (0, 3) come before odd ones (1, 2)
     assert np.array_equal(eig.eigenvectors, np.eye(4)[:, [0, 3, 1, 2]])
     assert eig.parities == (Parity.EVEN, Parity.EVEN, Parity.ODD, Parity.ODD)
 
 
 def test_2x2_off_diagonal():
-    eig = ps.diagonalize(np.array([[0.0, 0.3], [0.3, 0.0]]))
+    eig = oracle_tools.diagonalize(np.array([[0.0, 0.3], [0.3, 0.0]]))
     np.testing.assert_allclose(eig.eigenvalues, [-0.3, 0.3], atol=1e-15)
     # sign convention: the largest-magnitude component is positive, and the
     # 1/sqrt(2)-amplitude tie breaks at the lowest index
@@ -61,21 +66,21 @@ def test_tiny_and_huge_entries_are_diagonalized(scale):
     # for entries below ~1e-154, so Jacobi stopped at sweep 0 and returned
     # the diagonal, +-1 * scale instead of +-sqrt(5) * scale
     a = scale * np.array([[1.0, 2.0], [2.0, -1.0]])
-    eig = ps.diagonalize(a)
+    eig = oracle_tools.diagonalize(a)
     np.testing.assert_allclose(eig.eigenvalues, np.linalg.eigvalsh(a), rtol=1e-14, atol=0)
     assert eig.sweeps >= 1
     assert eig.residual <= 1e-12 * math.sqrt(10.0) * scale  # tol * ||A||_F
 
 
 def test_diagonal_input_converges_immediately():
-    eig = ps.diagonalize(np.diag([3.0, -1.0, 2.0]))
+    eig = oracle_tools.diagonalize(np.diag([3.0, -1.0, 2.0]))
     assert eig.sweeps == 0
     assert np.array_equal(eig.eigenvalues, [-1.0, 2.0, 3.0])
 
 
 def test_ground_energy_against_frozen_bisection_oracle_lam_1_0():
-    basis, h = _full_system(1.0)
-    eig = ps.diagonalize(h, basis)
+    _, h = _full_system(1.0)
+    _, eig = _full_eig(1.0)
     assert abs(eig.eigenvalues[0] - GROUND_ENERGY_LAM_1_0) <= ORACLE_TOL
     # same value re-derived right now through the independent inertia route
     assert abs(oracle_tools.smallest_eigenvalue(h) - GROUND_ENERGY_LAM_1_0) <= ORACLE_TOL
@@ -83,8 +88,8 @@ def test_ground_energy_against_frozen_bisection_oracle_lam_1_0():
 
 
 def test_ground_energy_against_frozen_bisection_oracle_lam_0_5():
-    basis, h = _full_system(0.5)
-    eig = ps.diagonalize(h, basis)
+    _, h = _full_system(0.5)
+    _, eig = _full_eig(0.5)
     assert abs(eig.eigenvalues[0] - GROUND_ENERGY_LAM_0_5) <= ORACLE_TOL
     assert abs(oracle_tools.smallest_eigenvalue(h) - GROUND_ENERGY_LAM_0_5) <= ORACLE_TOL
 
@@ -92,8 +97,7 @@ def test_ground_energy_against_frozen_bisection_oracle_lam_0_5():
 def test_ground_energy_monotone_decrease_in_lambda():
     energies = []
     for lam in np.linspace(0.0, 1.2, 13):
-        basis, h = _full_system(float(lam), n_max=10)
-        energies.append(ps.diagonalize(h, basis).eigenvalues[0])
+        energies.append(_full_eig(float(lam), n_max=10)[1].eigenvalues[0])
     assert all(b < a for a, b in zip(energies, energies[1:]))
     assert energies[0] == 0.5
 
@@ -103,7 +107,7 @@ def test_random_symmetric_matches_lapack(dim):
     rng = np.random.default_rng(1234 + dim)
     a = rng.standard_normal((dim, dim))
     a = (a + a.T) / 2.0
-    eig = ps.diagonalize(a)
+    eig = oracle_tools.diagonalize(a)
     scale = np.linalg.norm(a)
     np.testing.assert_allclose(
         eig.eigenvalues, oracle_tools.reference_spectrum(a), atol=1e-12 * max(scale, 1)
@@ -117,7 +121,7 @@ def test_random_symmetric_matches_lapack(dim):
 @pytest.mark.parametrize("lam,n_max", [(0.5, 14), (1.0, 14), (1.0, 63), (1.5, 30)])
 def test_model_reconstruction_orthonormality_residual(lam, n_max):
     basis, h = _full_system(lam, n_max)
-    eig = ps.diagonalize(h, basis)
+    eig = ps.solve_rabi(ModelParams(lam=lam), basis)
     dim = basis.dim
     fro = np.linalg.norm(h)
     v, w = eig.eigenvectors, eig.eigenvalues
@@ -125,29 +129,28 @@ def test_model_reconstruction_orthonormality_residual(lam, n_max):
     assert np.linalg.norm(v @ np.diag(w) @ v.T - h) <= 1e-9 * fro
     assert np.max(np.abs(h @ v - v * w)) <= 1e-10 * fro
     assert eig.residual <= 1e-12 * fro
-    assert 0 < eig.sweeps <= 64
+    assert eig.sweeps == eigensolve.INVERSE_STEPS
 
 
 def test_determinism_bit_identical():
-    basis, h = _full_system(0.7)
-    first = ps.diagonalize(h, basis)
-    second = ps.diagonalize(h, basis)
+    basis = ps.build_basis(14)
+    first = ps.solve_rabi(ModelParams(lam=0.7), basis)
+    second = ps.solve_rabi(ModelParams(lam=0.7), basis)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
     assert first.parities == second.parities
+    assert np.array_equal(first.labels, second.labels)
 
 
 def test_sign_convention_largest_component_positive():
-    basis, h = _full_system(0.9)
-    eig = ps.diagonalize(h, basis)
+    basis, eig = _full_eig(0.9)
     for k in range(basis.dim):
         column = eig.eigenvectors[:, k]
         assert column[np.argmax(np.abs(column))] > 0
 
 
 def test_degenerate_ordering_at_lambda_zero():
-    basis, h = _full_system(0.0, n_max=3)
-    eig = ps.diagonalize(h, basis)
+    _, eig = _full_eig(0.0, n_max=3)
     # exact degeneracies |e,n-1>, |g,n> resolve by parity rank (both equal)
     # then by largest-component position: |e,n-1> has the lower index
     assert np.array_equal(eig.eigenvalues, [0.5, 1.5, 1.5, 2.5, 2.5, 3.5, 3.5, 4.5])
@@ -156,17 +159,20 @@ def test_degenerate_ordering_at_lambda_zero():
 
 
 def test_output_arrays_read_only():
-    eig = ps.diagonalize(np.eye(3))
-    with pytest.raises(ValueError):
-        eig.eigenvalues[0] = 9.0
-    with pytest.raises(ValueError):
-        eig.eigenvectors[0, 0] = 9.0
+    basis = ps.build_basis(1)
+    for eig in (ps.solve_rabi(ModelParams(lam=0.3), basis), ps.solve_rwa(ModelParams(), basis)):
+        with pytest.raises(ValueError):
+            eig.eigenvalues[0] = 9.0
+        with pytest.raises(ValueError):
+            eig.eigenvectors[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            eig.labels[0] = 9
 
 
 def test_nonconvergence_raises_with_residual():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ps.NonConvergence) as info:
-        ps.diagonalize(a, max_sweeps=0)
+        oracle_tools.diagonalize(a, max_sweeps=0)
     assert info.value.residual > 0
 
 
@@ -181,31 +187,25 @@ def test_nonconvergence_raises_with_residual():
 )
 def test_validation_rejects_bad_matrices(matrix):
     with pytest.raises(ps.ValidationError):
-        ps.diagonalize(matrix)
-
-
-def test_validation_rejects_bad_tol_and_basis():
-    with pytest.raises(ps.ValidationError):
-        ps.diagonalize(np.eye(2), tol=0.0)
-    with pytest.raises(ps.ValidationError):
-        ps.diagonalize(np.eye(2), tol=-1e-9)
-    with pytest.raises(ps.BasisMismatch):
-        ps.diagonalize(np.eye(4), ps.build_basis(2))
+        oracle_tools.diagonalize(matrix)
 
 
 def test_parity_purity_of_full_hamiltonian_eigenvectors():
+    # each eigenvector lies in the sector of its tag: every amplitude on
+    # the other sector is exactly 0.0
     for lam in (0.1, 0.5, 1.2):
-        basis, h = _full_system(lam, n_max=8)
-        eig = ps.diagonalize(h, basis)
-        assert Parity.MIXED not in eig.parities
+        basis, eig = _full_eig(lam, n_max=8)
         counts = {p: eig.parities.count(p) for p in (Parity.EVEN, Parity.ODD)}
         assert counts[Parity.EVEN] == counts[Parity.ODD] == basis.dim // 2
+        even = basis.parity_signs > 0
+        for k, parity in enumerate(eig.parities):
+            assert np.all(eig.eigenvectors[~even if parity is Parity.EVEN else even, k] == 0.0)
 
 
 def test_parity_blocks_nmax1_entries():
     basis = ps.build_basis(1)
     h = ps.build_rabi_hamiltonian(ModelParams(lam=0.1), basis)
-    even, odd, perm = ps.parity_blocks(h, basis)
+    even, odd, perm = oracle_tools.parity_blocks(h, basis)
     assert np.array_equal(even, [[0.5, 0.1], [0.1, 2.5]])
     assert np.array_equal(odd, [[1.5, 0.1], [0.1, 1.5]])
     assert np.array_equal(perm, [0, 3, 1, 2])
@@ -214,7 +214,7 @@ def test_parity_blocks_nmax1_entries():
 def test_parity_blocks_exact_reassembly():
     basis = ps.build_basis(6)
     h = ps.build_rabi_hamiltonian(ModelParams(omega2=1.2, lam=0.8), basis)
-    even, odd, perm = ps.parity_blocks(h, basis)
+    even, odd, perm = oracle_tools.parity_blocks(h, basis)
     permuted = h[np.ix_(perm, perm)]
     k = even.shape[0]
     assert np.array_equal(permuted[:k, :k], even)
@@ -225,13 +225,9 @@ def test_parity_blocks_exact_reassembly():
 
 def test_parity_blocks_spectrum_multiset_matches_direct(basis14):
     h = ps.build_rabi_hamiltonian(ModelParams(lam=0.5), basis14)
-    even, odd, _ = ps.parity_blocks(h, basis14)
-    combined = np.sort(
-        np.concatenate(
-            [ps.diagonalize(even).eigenvalues, ps.diagonalize(odd).eigenvalues]
-        )
-    )
-    direct = ps.diagonalize(h, basis14).eigenvalues
+    even, odd, _ = oracle_tools.parity_blocks(h, basis14)
+    combined = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
+    direct = np.linalg.eigvalsh(h)
     np.testing.assert_allclose(combined, direct, atol=1e-10)
 
 
@@ -242,15 +238,15 @@ def test_parity_blocks_raise_on_leak():
     i = basis.index(Atom.G, 0)  # even
     j = basis.index(Atom.E, 0)  # odd
     h[i, j] = h[j, i] = 1e-13
-    with pytest.raises(ps.BlockLeak):
-        ps.parity_blocks(h, basis)
+    with pytest.raises(oracle_tools.BlockLeak):
+        oracle_tools.parity_blocks(h, basis)
 
 
 def test_jacobi_never_mixes_parity_blocks(basis14):
     # zero couplings are never rotated, so eigenvectors stay exactly pure:
     # every cross-parity amplitude is identically 0.0
     h = ps.build_rabi_hamiltonian(ModelParams(lam=1.0), basis14)
-    eig = ps.diagonalize(h, basis14)
+    eig = oracle_tools.diagonalize(h, basis14)
     signs = basis14.parity_signs
     for k in range(basis14.dim):
         column = eig.eigenvectors[:, k]
@@ -299,7 +295,7 @@ def test_structured_solvers_match_jacobi_and_lapack(omega1, omega2, omega_c, lam
         h = build(params, basis)
         atol = 1e-12 * np.linalg.norm(h)
         eig = solve(params, basis)
-        jacobi = ps.diagonalize(h, basis)
+        jacobi = oracle_tools.diagonalize(h, basis)
         v, w = eig.eigenvectors, eig.eigenvalues
         assert np.max(np.abs(w - np.linalg.eigvalsh(h))) <= atol
         assert np.max(np.abs(w - jacobi.eigenvalues)) <= atol
@@ -545,6 +541,28 @@ def test_rows_first_kernels_match_the_rowwise_reference_on_model_grids(lams, n_m
         assert np.any(np.diff(values) <= eigensolve._CLUSTER_GAP * radius)
 
 
+@pytest.mark.parametrize("omega1, omega_c", [(0.0, 1.0), (0.3, 0.7)])
+def test_chain_kernels_match_the_displaced_oscillator_at_zero_splitting(omega1, omega_c):
+    # at omega2 = omega1 each parity chain is omega1 + omega_c (a^dag a + 1/2)
+    # + lam (a + a^dag) over Fock rows j, a displaced oscillator (Casanova et
+    # al., PRL 105, 263603 (2010)): its levels are omega1 + omega_c (n + 1/2)
+    # - lam^2/omega_c at any lam, free of truncation, and its ground state's
+    # photon distribution is Poisson with mean (lam/omega_c)^2.  ModelParams
+    # needs omega2 > omega1, so the chains are built here
+    m, levels = 121, 7
+    lams = np.array([0.5, 1.0, 2.0, 3.0])
+    j = np.arange(m)
+    diag = np.stack([omega1 + omega_c * (j + 0.5)] * 2)
+    off = lams[:, None, None] * np.broadcast_to(np.sqrt(np.arange(1.0, m)), (2, m - 1))
+    values = eigensolve._bisect(diag, off, levels)
+    exact = omega1 + omega_c * (np.arange(levels) + 0.5) - (lams**2 / omega_c)[:, None, None]
+    assert np.max(np.abs(values - exact)) <= 1e-12
+    ground = eigensolve._inverse_iteration(diag, off, values)[..., 0]
+    mean = (lams / omega_c) ** 2
+    poisson = np.exp(-mean) * np.cumprod(np.vstack([np.ones_like(mean), mean / j[1:, None]]), axis=0)
+    assert np.max(np.abs(ground**2 - poisson[..., None])) <= 1e-14
+
+
 def test_rabi_chunks_bisect_a_large_grid_in_pieces_within_the_budget():
     # bisection's rows-first arrays hold chain rows, so a grid past
     # _BISECT_BYTES is bisected in pieces: the peak allocation of a pass
@@ -608,9 +626,10 @@ _ROTATION_ENTRIES = st.one_of(
          scale=1.0)
 @example(blocks=[(0.0, 1.0, 5e-324), (1e300, -1e300, 1e-300)], scale=1e300)
 def test_vectorized_rotations_match_the_scalar_rotation(blocks, scale):
-    # _rotations computes _rotation for every block at once with the same
-    # operations in the same order, so it has its bits; uncoupled blocks
-    # are left as they are.  Entries scaled past the float range become inf
+    # _rotations computes the oracle's scalar Jacobi rotation for every
+    # block at once with the same operations in the same order, so it has
+    # its bits; uncoupled blocks are left as they are, and a NaN theta gives
+    # the default NaN in both.  Entries scaled past the float range become inf
     with np.errstate(over="ignore"):
         app, aqq, apq = (np.array(column) * scale for column in zip(*blocks))
     with warnings.catch_warnings():
@@ -620,7 +639,7 @@ def test_vectorized_rotations_match_the_scalar_rotation(blocks, scale):
         stacked = eigensolve._rotations(app, aqq, np.stack([apq, apq[::-1]]))
     expected = np.array(
         [
-            eigensolve._rotation(p, q, o) if o != 0.0 else (0.0, 1.0, 0.0)
+            oracle_tools._rotation(p, q, o) if o != 0.0 else (0.0, 1.0, 0.0)
             for p, q, o in zip(app.tolist(), aqq.tolist(), apq.tolist())
         ]
     ).T

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracle_tools
 import polariscope as ps
-from polariscope import EigenSystem, ModelParams, Regime
+from polariscope import EigenSystem, ModelParams, Parity, Regime
 from polariscope.experiments import _observable_arrays
 
 
@@ -16,9 +16,10 @@ def _synthetic(vectors: np.ndarray) -> EigenSystem:
     return EigenSystem(
         eigenvalues=np.arange(dim, dtype=float),
         eigenvectors=vectors,
-        parities=None,
+        parities=(Parity.EVEN,) * dim,
         sweeps=1,
         residual=0.0,
+        labels=np.arange(dim),
     )
 
 
@@ -39,8 +40,7 @@ def test_sweepgrid_values_and_validation():
 
 def test_track_states_identity():
     basis = ps.build_basis(4)
-    h = ps.build_rabi_hamiltonian(ModelParams(lam=0.4), basis)
-    eig = ps.diagonalize(h, basis)
+    eig = ps.solve_rabi(ModelParams(lam=0.4), basis)
     assert np.array_equal(oracle_tools.track_states(eig, eig), np.arange(basis.dim))
 
 
@@ -177,7 +177,7 @@ def test_rwa_tracked_curves_stay_in_their_excitation_block():
     block_of_curve = {}
     for lam in grid.values():
         params = ModelParams(lam=float(lam))
-        eig = ps.diagonalize(ps.build_rwa_hamiltonian(params, basis), basis)
+        eig = ps.solve_rwa(params, basis)
         if prev is not None:
             labels = labels[oracle_tools.track_states(prev, eig)]
         for pos, curve in enumerate(labels):
@@ -197,9 +197,7 @@ def test_full_tracked_curves_keep_parity():
     prev = None
     parity_of_curve = {}
     for lam in grid.values():
-        eig = ps.diagonalize(
-            ps.build_rabi_hamiltonian(ModelParams(lam=float(lam)), basis), basis
-        )
+        eig = ps.solve_rabi(ModelParams(lam=float(lam)), basis)
         if prev is not None:
             labels = labels[oracle_tools.track_states(prev, eig)]
         for pos, curve in enumerate(labels):

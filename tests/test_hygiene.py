@@ -1,5 +1,6 @@
-"""Source checks that need no linter: every imported name is used, and
-the README's table of entry points matches the package."""
+"""Source checks that need no linter: every imported name is used, every
+private module-level name of the package is used by the package, and the
+README's table of entry points matches the package."""
 
 import ast
 import inspect
@@ -39,6 +40,61 @@ def test_no_unused_imports():
     files = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
+    assert unused == [], "\n".join(unused)
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds by definition."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """The bare names read within ``node``."""
+    return {
+        child.id
+        for child in ast.walk(node)
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store)
+    }
+
+
+def _imported_from(tree: ast.Module) -> set[tuple[str, str]]:
+    """The (module, name) pairs that the ``from .module import name``
+    statements of a package module import."""
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
+def test_private_names_are_used_by_the_package():
+    # a private helper that only the tests call belongs in the tests.  A
+    # name counts as used only where its own module reads it outside its
+    # own definition, or another module imports it from there by name
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(ROOT.glob("src/polariscope/*.py"))
+    }
+    used = set().union(*map(_imported_from, trees.values()))
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            own = _defined_names(node)
+            defined += [
+                (module, name) for name in own if name.startswith("_") and not name.startswith("__")
+            ]
+            # a definition's references to itself do not count
+            used |= {(module, name) for name in _read_names(node) - set(own)}
+    assert defined
+    unused = [
+        f"src/polariscope/{module}.py: {name}"
+        for module, name in defined
+        if (module, name) not in used
+    ]
     assert unused == [], "\n".join(unused)
 
 

@@ -20,9 +20,9 @@ def _vector(basis, amplitudes):
     return v
 
 
-def _eig(params, n_max, builder=ps.build_rabi_hamiltonian):
+def _eig(params, n_max, solve=ps.solve_rabi):
     basis = ps.build_basis(n_max)
-    return basis, ps.diagonalize(builder(params, basis), basis)
+    return basis, solve(params, basis)
 
 
 def test_photon_number_vacuum():
@@ -57,7 +57,7 @@ def test_atomic_energy_basis_states():
 def test_atomic_energy_resonant_polaritons_half():
     # at resonance the n=1 RWA polaritons are equal mixtures, so the mean
     # atomic energy is (omega1 + omega2) / 2 = 0.5
-    basis, eig = _eig(ModelParams(lam=0.3), 5, ps.build_rwa_hamiltonian)
+    basis, eig = _eig(ModelParams(lam=0.3), 5, ps.solve_rwa)
     params = ModelParams(lam=0.3)
     for k in (1, 2):
         assert ps.atomic_energy(eig.eigenvectors[:, k], params) == pytest.approx(
@@ -76,7 +76,7 @@ def test_dipole_bare_transition_unity():
 
 
 def test_dipole_polariton_intensity_half():
-    basis, eig = _eig(ModelParams(lam=0.2), 6, ps.build_rwa_hamiltonian)
+    basis, eig = _eig(ModelParams(lam=0.2), 6, ps.solve_rwa)
     g0 = _vector(basis, {(Atom.G, 0): 1.0})
     for k in (1, 2):
         d = ps.dipole_element(g0, eig.eigenvectors[:, k])
@@ -85,8 +85,7 @@ def test_dipole_polariton_intensity_half():
 
 
 def test_dipole_parity_selection_rule(basis14):
-    h = ps.build_rabi_hamiltonian(ModelParams(lam=0.5), basis14)
-    eig = ps.diagonalize(h, basis14)
+    eig = ps.solve_rabi(ModelParams(lam=0.5), basis14)
     ground = eig.eigenvectors[:, 0]
     assert eig.parities[0] is Parity.EVEN
     for k in range(basis14.dim):
@@ -96,8 +95,7 @@ def test_dipole_parity_selection_rule(basis14):
 
 def test_dipole_sum_rule(basis14):
     # sum_f |<f|sigma_+|0>|^2 equals the ground-state weight on |g,n> states
-    h = ps.build_rabi_hamiltonian(ModelParams(lam=0.5), basis14)
-    eig = ps.diagonalize(h, basis14)
+    eig = ps.solve_rabi(ModelParams(lam=0.5), basis14)
     ground = eig.eigenvectors[:, 0]
     total = sum(
         ps.dipole_element(ground, eig.eigenvectors[:, k]) ** 2
@@ -119,7 +117,7 @@ def test_dipole_hermitian_variant():
 
 
 def test_dipole_hermitian_matches_for_rwa_polaritons():
-    basis, eig = _eig(ModelParams(lam=0.4), 6, ps.build_rwa_hamiltonian)
+    basis, eig = _eig(ModelParams(lam=0.4), 6, ps.solve_rwa)
     g = eig.eigenvectors[:, 0]
     for k in (1, 2):
         plain = ps.dipole_element(g, eig.eigenvectors[:, k])
@@ -147,7 +145,7 @@ def test_norm_validation():
 
 def test_rwa_ground_state_exact_observables():
     params = ModelParams(lam=0.7)
-    basis, eig = _eig(params, 10, ps.build_rwa_hamiltonian)
+    basis, eig = _eig(params, 10, ps.solve_rwa)
     ground = eig.eigenvectors[:, 0]
     assert ps.photon_number(ground) == 0.0
     assert ps.atomic_energy(ground, params) == params.omega1
@@ -185,8 +183,8 @@ def test_energy_partition_identity_and_variational_sign():
 def test_observables_do_not_depend_on_the_layout(lam, omega2, n_max):
     # every eigenvector-weighted sum adds basis rows in ascending order, so
     # C- and F-ordered matrices, single columns, the sweep's chain vectors
-    # and the absorption lines all give the same bits (Jacobi, slow in
-    # Python, only on the smaller bases)
+    # and the absorption lines all give the same bits (and the oracle's
+    # Jacobi eigenvectors, slow in Python, only on the smaller bases)
     params = ModelParams(omega2=omega2, lam=lam)
     basis = ps.build_basis(n_max)
     rows = np.arange(basis.dim)[:, None]
@@ -194,7 +192,8 @@ def test_observables_do_not_depend_on_the_layout(lam, omega2, n_max):
     [sweep, _] = ps.run_sweep(grid, n_max, n_max)
     systems = [("full", ps.solve_rabi(params, basis)), ("rwa", ps.solve_rwa(params, basis))]
     if n_max <= 8:
-        systems.append((None, ps.diagonalize(ps.build_rabi_hamiltonian(params, basis), basis)))
+        jacobi = oracle_tools.diagonalize(ps.build_rabi_hamiltonian(params, basis), basis)
+        systems.append((None, jacobi))
     for model, eig in systems:
         c_vectors = np.ascontiguousarray(eig.eigenvectors)
         f_vectors = np.asfortranarray(eig.eigenvectors)

@@ -9,12 +9,12 @@ from polariscope import Branch, ModelParams, Regime
 
 def _rwa_eig(params, n_max=14):
     basis = ps.build_basis(n_max)
-    return basis, ps.diagonalize(ps.build_rwa_hamiltonian(params, basis), basis)
+    return basis, ps.solve_rwa(params, basis)
 
 
 def _full_eig(params, n_max=14):
     basis = ps.build_basis(n_max)
-    return basis, ps.diagonalize(ps.build_rabi_hamiltonian(params, basis), basis)
+    return basis, ps.solve_rabi(params, basis)
 
 
 def test_rwa_levels_block1_resonance():
