@@ -59,6 +59,7 @@ from .experiments import (
     absorption_dataset,
     convergence_study,
     run_sweep,
+    spectrum_dataset,
     sweep_datasets,
 )
 from .io import emit_dataset, emit_plot_script, parse_config_file
@@ -107,6 +108,7 @@ __all__ = [
     "rwa_splitting",
     "solve_rabi",
     "solve_rwa",
+    "spectrum_dataset",
     "sweep_datasets",
     "transition_frequencies",
     "__version__",

@@ -35,12 +35,12 @@ from .experiments import (
     SweepGrid,
     absorption_dataset,
     convergence_study,
+    spectrum_dataset,
     sweep_datasets,
 )
 from .io import FORMATS, atomic_write, emit_dataset, emit_plot_script, parse_config_file
-from .model import ModelParams, build_basis
-from .observables import atomic_energy, photon_number
-from .spectra import classify_regime, solve_rabi, solve_rwa
+from .model import ModelParams
+from .spectra import classify_regime
 
 COMMANDS = ("spectrum", "sweep", "observables", "absorption", "converge", "regimes")
 
@@ -269,38 +269,10 @@ def _run_absorption(config: RunConfig) -> None:
 
 
 def _run_spectrum(config: RunConfig) -> None:
-    basis = build_basis(config.n_max)
-    columns = (
-        "model",
-        "index",
-        "energy",
-        "parity",
-        "nu",
-        "photon_number",
-        "atomic_energy",
-    )
-    rows = []
-    for model_name, solve in (("full", solve_rabi), ("rwa", solve_rwa)):
-        eig = solve(config.params, basis, tol=config.tol)
-        for k in range(min(config.k_states + 1, eig.dim)):
-            vector = eig.eigenvectors[:, k]
-            rows.append(
-                (
-                    model_name,
-                    k,
-                    float(eig.eigenvalues[k]),
-                    eig.parities[k],
-                    float(eig.eigenvalues[k] - eig.eigenvalues[0]),
-                    photon_number(vector),
-                    atomic_energy(vector, config.params),
-                )
-            )
+    dataset = spectrum_dataset(config.params, config.n_max, config.k_states, tol=config.tol)
     regime = classify_regime(config.params.lam, config.params.omega_c)
-    print(
-        f"lambda/omega_c = {config.params.lam / config.params.omega_c:g}: "
-        f"{regime} coupling"
-    )
-    _emit(config, Dataset(name="spectrum", columns=columns, rows=tuple(rows)))
+    print(f"lambda/omega_c = {config.params.lam / config.params.omega_c:g}: {regime} coupling")
+    _emit(config, dataset)
 
 
 def _run_converge(config: RunConfig) -> None:

@@ -14,9 +14,10 @@ in, nor on K.  The row recurrences of bisection and inverse iteration hold
 the chain's row index on a leading axis, so each step down the chain is a
 couple of numpy calls over every point, chain and level at once.  No chain
 kernel calls BLAS: their bits do not depend on the kernel OpenBLAS picks for
-the CPU.  ``_rotations`` gives the closed-form rotations of 2x2 blocks, and
-``_point_system`` turns one point of complete chains into a sorted
-``EigenSystem``.
+the CPU.  ``_rotations`` gives the closed-form rotations of 2x2 blocks,
+``_eigen_order`` is the one rule that sorts chain levels as ``EigenSystem``
+does, and ``_point_system`` turns one point of complete chains into a
+sorted ``EigenSystem``.
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ class EigenSystem:
     eigenvector of ``eigenvalues[k]``; exact ties are ordered EVEN before
     ODD, then by the row of each eigenvector's largest component, which is
     positive.  ``parities[k]`` is the EVEN/ODD sector eigenvector k lies in,
-    known by construction.  ``sweeps`` counts the inverse-iteration steps
-    behind each eigenvector (1 for the closed-form RWA blocks), and
-    ``residual`` is the worst eigenpair residual ||Hv - Ev||.
+    known by construction, and ``residual`` is the worst eigenpair residual
+    ||Hv - Ev||.
 
     ``labels`` names each eigenvector by symmetry, with the same integer
     for the same state at every coupling, so sweeps track states by label.
@@ -82,7 +82,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     parities: tuple[Parity, ...]
-    sweeps: int
     residual: float
     labels: np.ndarray
 
@@ -387,20 +386,29 @@ def _check_residuals(lams: np.ndarray, *models: _Chains) -> None:
         raise NonConvergence(message, residual=float(residual), lam=float(lams[point]))
 
 
-def _point_system(basis: FockBasis, chains: _Chains, point: int, sweeps: int) -> EigenSystem:
+def _eigen_order(basis: FockBasis, chains: _Chains) -> np.ndarray:
+    """The chain-major columns of each point of ``chains`` in ``EigenSystem``
+    order (p, c * K): by eigenvalue, exact ties EVEN before ODD, then by
+    ``dominant``, the row of each eigenvector's largest component."""
+    points = len(chains.values)
+    dominant = chains.dominant.reshape(points, -1)
+    odd = basis.parity_signs[dominant] < 0
+    return np.lexsort((dominant, odd, chains.values.reshape(points, -1)), axis=-1)
+
+
+def _point_system(basis: FockBasis, chains: _Chains, point: int) -> EigenSystem:
     """The read-only EigenSystem of one point of chains that hold every
     eigenpair, each vector written once into a dense matrix in chain-major
-    column order, then sorted by eigenvalue, exact ties EVEN before ODD and
-    then by ``dominant``, the row of each eigenvector's largest component."""
+    column order, then sorted by ``_eigen_order``."""
     rows, dominant = chains.rows, chains.dominant[point].ravel()
     vectors = np.zeros((basis.dim, basis.dim))
     columns = np.arange(dominant.size).reshape(rows.shape[0], -1)
     vectors[rows[:, :, None], columns[:, None]] = chains.vectors[:, point].transpose(1, 0, 2)
     odd = basis.parity_signs[dominant] < 0
-    values = chains.values[point].ravel()
-    order = np.lexsort((dominant, odd, values))
-    values, vectors, labels = values[order], vectors[:, order], chains.labels.ravel()[order]
+    order = _eigen_order(basis, chains)[point]
+    values = chains.values[point].ravel()[order]
+    vectors, labels = vectors[:, order], chains.labels.ravel()[order]
     for array in (values, vectors, labels):
         array.setflags(write=False)
     parities = tuple(Parity.ODD if o else Parity.EVEN for o in odd[order].tolist())
-    return EigenSystem(values, vectors, parities, sweeps, float(chains.residual[point]), labels)
+    return EigenSystem(values, vectors, parities, float(chains.residual[point]), labels)

@@ -10,18 +10,20 @@ two labelings: sorted (ascending energy at that grid point) and tracked
 their identity through crossings).  Tracked curve c starts as sorted index c
 at the first grid point.  The label is (parity, rank within parity) for the
 full model, whose parity chains have simple spectra for lam > 0, and
-(excitation block, branch) for the RWA.
+(excitation block, branch) for the RWA.  ``spectrum_dataset`` reads the
+same chains at one coupling; ``absorption_dataset`` needs every eigenpair,
+so it reads the whole eigensystems of ``solve_rabi`` and ``solve_rwa``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .eigensolve import DEFAULT_TOL, _check_residuals, _check_tol
-from .model import ModelParams, _check_n_max, build_basis
+from .eigensolve import DEFAULT_TOL, _check_residuals, _check_tol, _eigen_order
+from .model import ModelParams, Parity, _check_n_max, build_basis
 from .observables import _observable_arrays
 from .spectra import (
     Regime,
@@ -143,8 +145,7 @@ def _model_columns(model, chains, basis, params, curves, k):
     """
     points = len(chains.values)
     values = chains.values.reshape(points, -1)
-    dominant = chains.dominant.reshape(points, -1)
-    order = np.lexsort((dominant, basis.parity_signs[dominant] < 0, values), axis=-1)
+    order = _eigen_order(basis, chains)
     point = np.arange(points)[:, None]
     energies = values[point, order]
     labels = chains.labels.ravel()
@@ -172,9 +173,9 @@ def _model_columns(model, chains, basis, params, curves, k):
     return fields
 
 
-def _check_k_states(k_states) -> int:
-    if k_states != int(k_states) or k_states < 1:
-        raise ValidationError(f"k_states must be an integer >= 1, got {k_states!r}")
+def _check_k_states(k_states, least: int = 1) -> int:
+    if k_states != int(k_states) or k_states < least:
+        raise ValidationError(f"k_states must be an integer >= {least}, got {k_states!r}")
     return int(k_states)
 
 
@@ -355,36 +356,50 @@ def sweep_datasets(
     return datasets
 
 
+def spectrum_dataset(
+    params: ModelParams, n_max: int = 14, k_states: int = 7, *, tol: float = DEFAULT_TOL
+) -> Dataset:
+    """The lowest k_states + 1 levels of both Hamiltonians at one coupling
+    (all of them if the basis holds fewer), in ``EigenSystem`` order:
+    energy, parity, transition frequency from the ground state, photon
+    number and atomic energy.
+
+    Of the full Hamiltonian only the lowest k_states + 1 levels of each
+    parity chain are solved, as in ``run_sweep``; they hold every row.  The
+    residual check covers them and every RWA level.  Each cell has the bits
+    of ``solve_rabi``/``solve_rwa`` and ``photon_number``/``atomic_energy``.
+    """
+    k_states = _check_k_states(k_states, least=0)
+    _check_tol(tol)
+    basis = build_basis(n_max)
+    lams = np.array([params.lam])
+    [(_, full)] = _rabi_chunks(params, lams, basis, min(k_states + 1, basis.n_max + 1), tol)
+    rwa = _rwa_chains(params, lams, basis, tol)
+    _check_residuals(lams, full, rwa)
+    columns = ("model", "index", "energy", "parity", "nu", "photon_number", "atomic_energy")
+    rows = []
+    for model, chains in (("full", full), ("rwa", rwa)):
+        order = _eigen_order(basis, chains)[0, : k_states + 1]
+        nbar, eatom = _observable_arrays(chains.vectors, params, chains.rows.T[:, None, :, None])
+        energies, nbar, eatom = (array.ravel()[order] for array in (chains.values, nbar, eatom))
+        odd = basis.parity_signs[chains.dominant.ravel()[order]] < 0
+        for k, energy in enumerate(energies.tolist()):
+            parity = Parity.ODD if odd[k] else Parity.EVEN
+            nu = float(energies[k] - energies[0])
+            rows.append((model, k, energy, parity, nu, float(nbar[k]), float(eatom[k])))
+    return Dataset(name="spectrum", columns=columns, rows=tuple(rows))
+
+
 def absorption_dataset(
-    params: ModelParams,
-    n_max: int = 14,
-    *,
-    hermitian: bool = False,
-    tol: float = DEFAULT_TOL,
+    params: ModelParams, n_max: int = 14, *, hermitian: bool = False, tol: float = DEFAULT_TOL
 ) -> Dataset:
     """Absorption sticks of both Hamiltonians at one coupling (fig5), lines
     above ``DEFAULT_LINE_THRESHOLD`` of the strongest."""
     basis = build_basis(n_max)
-    columns = (
-        "model",
-        "from_index",
-        "to_index",
-        "frequency",
-        "intensity",
-        "raw_intensity",
-    )
+    columns = ("model", "from_index", "to_index", "frequency", "intensity", "raw_intensity")
     rows = []
     for model_name, solve in (("full", solve_rabi), ("rwa", solve_rwa)):
         eig = solve(params, basis, tol=tol)
         for line in absorption_lines(eig, basis, hermitian=hermitian):
-            rows.append(
-                (
-                    model_name,
-                    line.from_index,
-                    line.to_index,
-                    line.frequency,
-                    line.intensity,
-                    line.raw_intensity,
-                )
-            )
+            rows.append((model_name, *astuple(line)))
     return Dataset(name="fig5", columns=columns, rows=tuple(rows))

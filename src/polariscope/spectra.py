@@ -34,7 +34,6 @@ import numpy as np
 from .errors import ValidationError
 from .eigensolve import (
     DEFAULT_TOL,
-    INVERSE_STEPS,
     EigenSystem,
     _bisect,
     _Chains,
@@ -249,7 +248,7 @@ def solve_rabi(
     lams = np.array([params.lam])
     [(_, chains)] = _rabi_chunks(params, lams, basis, basis.n_max + 1, tol)
     _check_residuals(lams, chains)
-    return _point_system(basis, chains, 0, INVERSE_STEPS)
+    return _point_system(basis, chains, 0)
 
 
 def _rwa_chains(
@@ -290,7 +289,7 @@ def solve_rwa(
     lams = np.array([params.lam])
     chains = _rwa_chains(params, lams, basis, tol)
     _check_residuals(lams, chains)
-    return _point_system(basis, chains, 0, 1)
+    return _point_system(basis, chains, 0)
 
 
 def transition_frequencies(eig: EigenSystem, ground_index: int = 0) -> np.ndarray:

@@ -30,8 +30,10 @@ GOLDEN = Path(__file__).resolve().with_name("golden_outputs.json")
 
 #: Every command at its defaults in each format, then runs off the defaults:
 #: a deep-strong sweep with clustered levels, the converge ladder up to
-#: n_max 63, the Hermitian dipole, a detuned spectrum, and a detuned sweep
-#: whose grid holds the exact even/odd crossing at lambda = 0.4.
+#: n_max 63, the Hermitian dipole, a detuned spectrum, a detuned sweep
+#: whose grid holds the exact even/odd crossing at lambda = 0.4, a resonant
+#: spectrum at lambda = 0 with its ties and more states asked for than the
+#: basis holds, and a deep-strong spectrum.
 RUNS = (
     *(f"{command} --format {fmt}" for fmt in FORMATS for command in COMMANDS),
     "sweep --lambda-max 3 --steps 301 --n-max 60",
@@ -39,6 +41,8 @@ RUNS = (
     "absorption --lambda 1.1 --hermitian-dipole --n-max 9",
     "spectrum --omega2 0.8 --lambda 0.9 --k-states 9",
     "sweep --omega2 1.2 --lambda-max 3 --steps 61 --n-max 30",
+    "spectrum --lambda 0 --n-max 2 --k-states 9",
+    "spectrum --lambda 3 --n-max 60 --k-states 12",
 )
 
 

@@ -10,7 +10,9 @@ builds the rows of ``run_sweep`` one grid point at a time from whole
 eigensystems (``point_systems``, shared between tests), the reference for
 the batched row assembly, and ``datasets_from_rows`` reads the sweep
 datasets out of such rows cell by cell, the reference for the table
-assembly of ``sweep_datasets``.  ``rowwise_bisect`` and
+assembly of ``sweep_datasets``.  ``spectrum_rows`` builds the rows of
+``spectrum_dataset`` from whole eigensystems and one observable call per
+state, the reference for its chain-level assembly.  ``rowwise_bisect`` and
 ``rowwise_inverse_iteration`` are the chain kernels as they were before
 they ran rows first, one slice of the chain at a time: the bit reference
 for the library's kernels, which keep the same operations in the same
@@ -314,6 +316,30 @@ def datasets_from_rows(rows: list[ps.SweepRow]) -> dict[str, ps.Dataset]:
         table = tuple((row.lam, *_cells(row, spec)) for row in rows)
         datasets[name] = ps.Dataset(name=name, columns=tuple(columns), rows=table)
     return datasets
+
+
+def spectrum_rows(params: ps.ModelParams, n_max: int, k_states: int, tol: float = DEFAULT_TOL):
+    """The rows of ``spectrum_dataset(params, n_max, k_states)``, from the
+    whole eigensystems of ``solve_rabi`` and ``solve_rwa`` and one
+    ``photon_number``/``atomic_energy`` call per eigenvector column."""
+    basis = ps.build_basis(n_max)
+    rows = []
+    for model, solve in (("full", ps.solve_rabi), ("rwa", ps.solve_rwa)):
+        eig = solve(params, basis, tol=tol)
+        for k in range(min(k_states + 1, eig.dim)):
+            vector = eig.eigenvectors[:, k]
+            rows.append(
+                (
+                    model,
+                    k,
+                    float(eig.eigenvalues[k]),
+                    eig.parities[k],
+                    float(eig.eigenvalues[k] - eig.eigenvalues[0]),
+                    ps.photon_number(vector),
+                    ps.atomic_energy(vector, params),
+                )
+            )
+    return tuple(rows)
 
 
 def rowwise_bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:

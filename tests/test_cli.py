@@ -169,6 +169,17 @@ def test_main_spectrum_writes_dataset(tmp_path, capsys):
     assert full_rows[0].split(",")[3] == "even"
 
 
+def test_main_spectrum_rejects_a_negative_k_states(tmp_path, capsys):
+    code = main(["spectrum", "--k-states", "-1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "invalid parameters" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # zero states above the ground still give each model its ground row
+    assert main(["spectrum", "--k-states", "0", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in data[1:]] == [["full", "0"], ["rwa", "0"]]
+
+
 def test_main_sweep_writes_figures_and_scripts(tmp_path):
     code = main(
         [
@@ -266,7 +277,7 @@ def test_main_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ps.NonConvergence("no convergence after 64 sweeps", residual=1.0)
 
-    monkeypatch.setattr("polariscope.cli.solve_rabi", explode)
+    monkeypatch.setattr("polariscope.experiments._rabi_chunks", explode)
     code = main(["spectrum", "--out", str(tmp_path)])
     assert code == 2
     assert "converge" in capsys.readouterr().err

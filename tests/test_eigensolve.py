@@ -129,7 +129,6 @@ def test_model_reconstruction_orthonormality_residual(lam, n_max):
     assert np.linalg.norm(v @ np.diag(w) @ v.T - h) <= 1e-9 * fro
     assert np.max(np.abs(h @ v - v * w)) <= 1e-10 * fro
     assert eig.residual <= 1e-12 * fro
-    assert eig.sweeps == eigensolve.INVERSE_STEPS
 
 
 def test_determinism_bit_identical():
@@ -375,7 +374,7 @@ def test_rabi_chunks_match_single_point_solves(n_max, omega2, lams, chunk_bytes)
     with mock.patch.object(spectra, "_CHUNK_BYTES", chunk_bytes):
         chunks = list(spectra._rabi_chunks(base, np.array(lams), basis, m, 1e-12))
     systems = [
-        eigensolve._point_system(basis, chains, point, eigensolve.INVERSE_STEPS)
+        eigensolve._point_system(basis, chains, point)
         for _, chains in chunks
         for point in range(chains.residual.size)
     ]

@@ -17,7 +17,6 @@ def _synthetic(vectors: np.ndarray) -> EigenSystem:
         eigenvalues=np.arange(dim, dtype=float),
         eigenvectors=vectors,
         parities=(Parity.EVEN,) * dim,
-        sweeps=1,
         residual=0.0,
         labels=np.arange(dim),
     )
@@ -324,6 +323,42 @@ def test_sweep_datasets_structure():
     fig4_left = datasets["fig4_left"]
     tracked_ground = fig4_left.columns.index("nbar_rwa_tracked_0")
     assert all(row[tracked_ground] == 0.0 for row in fig4_left.rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    omega1=st.sampled_from([0.0, 0.3]),
+    omega2=st.sampled_from([0.8, 1.0, 1.3, 1.7]),
+    omega_c=st.sampled_from([0.5, 1.0]),
+    lam=st.one_of(st.sampled_from([0.0, -0.0, 1e-9]), st.floats(min_value=0.0, max_value=3.0)),
+    n_max=st.integers(min_value=0, max_value=40),
+    k_states=st.integers(min_value=0, max_value=12),
+)
+@example(omega1=0.0, omega2=1.0, omega_c=1.0, lam=0.0, n_max=2, k_states=9)
+@example(omega1=0.0, omega2=1.0, omega_c=1.0, lam=-0.0, n_max=9, k_states=12)
+@example(omega1=0.3, omega2=0.8, omega_c=0.5, lam=0.0, n_max=14, k_states=12)
+@example(omega1=0.0, omega2=1.0, omega_c=0.5, lam=0.0, n_max=20, k_states=7)
+@example(omega1=0.0, omega2=1.0, omega_c=1.0, lam=1e-9, n_max=14, k_states=7)
+@example(omega1=0.0, omega2=1.0, omega_c=1.0, lam=3.0, n_max=40, k_states=12)
+def test_spectrum_dataset_matches_whole_eigensystems(
+    omega1, omega2, omega_c, lam, n_max, k_states
+):
+    # only the lowest k_states + 1 levels of each parity chain are solved,
+    # and the observables come from the chain vectors; every cell keeps the
+    # bits of the whole eigensystems, including the ties at lam = 0 (within
+    # a chain at resonance, across the chains at omega21 = 2 omega_c) and
+    # more states asked for than the basis holds
+    params = ModelParams(omega1=omega1, omega2=omega2, omega_c=omega_c, lam=lam)
+    dataset = ps.spectrum_dataset(params, n_max, k_states)
+    assert dataset.name == "spectrum"
+    assert repr(dataset.rows) == repr(oracle_tools.spectrum_rows(params, n_max, k_states))
+
+
+def test_spectrum_dataset_validation():
+    with pytest.raises(ps.ValidationError, match="k_states must be an integer >= 0"):
+        ps.spectrum_dataset(ModelParams(), k_states=-1)
+    with pytest.raises(ps.ValidationError, match="tol"):
+        ps.spectrum_dataset(ModelParams(), tol=0.0)
 
 
 def test_absorption_dataset_contents():
