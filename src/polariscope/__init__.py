@@ -19,7 +19,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    Atom,
     FockBasis,
     ModelParams,
     Parity,
@@ -37,19 +36,14 @@ from .observables import (
     photon_number,
 )
 from .spectra import (
-    Branch,
     Regime,
-    RwaLevel,
     SpectralLine,
     absorption_lines,
     classify_regime,
-    regime_from_label,
     rwa_analytic_levels,
     rwa_ground_energy,
-    rwa_splitting,
     solve_rabi,
     solve_rwa,
-    transition_frequencies,
 )
 from .experiments import (
     ConvergenceRow,
@@ -67,9 +61,7 @@ from .io import emit_dataset, emit_plot_script, parse_config_file
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom",
     "BasisMismatch",
-    "Branch",
     "ConvergenceRow",
     "Dataset",
     "EigenSystem",
@@ -79,7 +71,6 @@ __all__ = [
     "NonConvergence",
     "Parity",
     "Regime",
-    "RwaLevel",
     "SchemaMismatch",
     "SpectralLine",
     "SweepGrid",
@@ -101,15 +92,12 @@ __all__ = [
     "energy_partition",
     "parse_config_file",
     "photon_number",
-    "regime_from_label",
     "run_sweep",
     "rwa_analytic_levels",
     "rwa_ground_energy",
-    "rwa_splitting",
     "solve_rabi",
     "solve_rwa",
     "spectrum_dataset",
     "sweep_datasets",
-    "transition_frequencies",
     "__version__",
 ]

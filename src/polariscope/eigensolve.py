@@ -165,7 +165,7 @@ def _bisect(diag: np.ndarray, off: np.ndarray, levels: int) -> np.ndarray:
     subtract over all lanes, the negative pivots are counted once per
     halving, and the brackets are updated in place.  The three arrays hold
     3m - 1 rows of the lanes' size; ``spectra._rabi_chunks`` bounds them by
-    bisecting a large grid in pieces.
+    bisecting a large grid chunk by chunk.
 
     A chain may be padded past its end with rows of diagonal +inf and
     off-diagonal 0: their pivots are +inf (or NaN after a zero pivot), and

@@ -17,6 +17,7 @@ so it reads the whole eigensystems of ``solve_rabi`` and ``solve_rwa``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -50,9 +51,9 @@ class SweepGrid:
     params_base: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.lambda_min < self.lambda_max:
+        if not 0 <= self.lambda_min < self.lambda_max < math.inf:
             raise ValidationError(
-                "need 0 <= lambda_min < lambda_max, got "
+                "need 0 <= lambda_min < lambda_max < inf, got "
                 f"{self.lambda_min!r}..{self.lambda_max!r}"
             )
         if self.steps != int(self.steps) or self.steps < 2:

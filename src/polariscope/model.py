@@ -28,16 +28,6 @@ import numpy as np
 from .errors import ValidationError
 
 
-class Atom(Enum):
-    """Atomic level of a product basis state."""
-
-    G = 0
-    E = 1
-
-    def __str__(self) -> str:
-        return self.name.lower()
-
-
 class Parity(Enum):
     """Excitation-number parity: the sector of a basis state, and of every
     eigenvector of the full Hamiltonian, which couples only states of equal
@@ -108,14 +98,6 @@ class FockBasis:
     def dim(self) -> int:
         return 2 * (self.n_max + 1)
 
-    def index(self, atom: Atom, photons: int) -> int:
-        """Position of |atom, photons> in the canonical ordering."""
-        if photons != int(photons) or not 0 <= photons <= self.n_max:
-            raise ValidationError(
-                f"photon number must be an integer in 0..{self.n_max}, got {photons!r}"
-            )
-        return 2 * photons + (1 if atom is Atom.E else 0)
-
     @cached_property
     def photon_numbers(self) -> np.ndarray:
         """Photon number of each basis state, in canonical order."""
@@ -150,9 +132,6 @@ class FockBasis:
         arr = 2 * j + (j + np.arange(2)[:, None]) % 2
         arr.setflags(write=False)
         return arr
-
-    def __len__(self) -> int:
-        return self.dim
 
 
 def _check_n_max(n_max) -> int:

@@ -1,6 +1,6 @@
 """Spectra of the two model Hamiltonians: the structured solvers, the
-closed-form rotating-wave spectrum, transition frequencies, stick absorption
-spectra, and coupling-regime classification.
+closed-form rotating-wave spectrum, stick absorption spectra, and
+coupling-regime classification.
 
 Each parity sector of the full (Rabi) Hamiltonian is a symmetric
 tridiagonal chain (Braak, PRL 107, 100401 (2011)),
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 import numpy as np
 
@@ -49,40 +49,16 @@ from .observables import _dipole_elements
 #: Default relative-intensity cutoff for absorption lines.
 DEFAULT_LINE_THRESHOLD = 1e-6
 
-#: Bytes that two (rows, points, chains, levels) float arrays of a chunk of
-#: grid points may take.  Each chunk pays fixed costs (the row loops of
-#: inverse iteration, the observables and the table columns), so the default
-#: sweep (0.46 MB) runs as one chunk; its peak allocation, the handful of
-#: such arrays live at once, is ~1.4 MB.
-_CHUNK_BYTES = 2**19
-
-#: Bytes that bisection's rows-first arrays over a piece of the grid, its
-#: shifted diagonal, pivots and squared off-diagonals ((3m - 1, points,
-#: chains, levels) floats in all), may take.  The default sweep (~0.68 MB)
-#: and the converge ladder bisect in one piece; a larger grid is bisected
-#: piece by piece.  Pieces much shorter than the default grid slow
-#: bisection down, since each numpy call of its row loop then does little
-#: work.
-_BISECT_BYTES = 2**20
-
-
-class Branch(Enum):
-    """Lower/upper member of a polariton doublet."""
-
-    MINUS = "minus"
-    PLUS = "plus"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True)
-class RwaLevel:
-    """One analytic rotating-wave level: block ``block_n``, branch, energy."""
-
-    block_n: int
-    branch: Branch
-    energy: float
+#: Bytes that bisection's rows-first arrays over a chunk of grid points,
+#: its shifted diagonal, pivots and squared off-diagonals ((3m - 1, points,
+#: chains, levels) floats in all), may take; the two (m, points, chains,
+#: levels) arrays of inverse iteration then take about 2/3 of it.  Each
+#: chunk pays fixed costs (the row loops of bisection and inverse
+#: iteration, the observables and the table columns), so the default sweep
+#: (~0.68 MB) runs as one chunk; chunks much shorter than the default grid
+#: slow bisection down, since each numpy call of its row loop then does
+#: little work.
+_CHUNK_BYTES = 2**20
 
 
 def rwa_ground_energy(params: ModelParams) -> float:
@@ -90,27 +66,19 @@ def rwa_ground_energy(params: ModelParams) -> float:
     return params.omega1 + 0.5 * params.omega_c
 
 
-def rwa_analytic_levels(params: ModelParams, n: int) -> tuple[RwaLevel, RwaLevel]:
+def rwa_analytic_levels(params: ModelParams, n: int) -> tuple[float, float]:
     """Closed-form polariton doublet of the n-excitation block (n >= 1).
 
-    Returns ``(minus, plus)`` with energies
-    (w1 + w2)/2 + n*w_c -/+ sqrt(Delta^2 + 4 n lam^2)/2.
+    Returns the energies ``(minus, plus)``,
+    (w1 + w2)/2 + n*w_c -/+ sqrt(Delta^2 + 4 n lam^2)/2; their gap
+    ``plus - minus`` is the splitting sqrt(Delta^2 + 4 n lam^2).
     """
     if n != int(n) or n < 1:
         raise ValidationError(f"block number must be an integer >= 1, got {n!r}")
     n = int(n)
     center = 0.5 * (params.omega1 + params.omega2) + n * params.omega_c
     half_split = 0.5 * math.sqrt(params.detuning**2 + 4.0 * n * params.lam**2)
-    return (
-        RwaLevel(block_n=n, branch=Branch.MINUS, energy=center - half_split),
-        RwaLevel(block_n=n, branch=Branch.PLUS, energy=center + half_split),
-    )
-
-
-def rwa_splitting(params: ModelParams, n: int) -> float:
-    """Energy gap eps_plus - eps_minus of block n: sqrt(Delta^2 + 4 n lam^2)."""
-    minus, plus = rwa_analytic_levels(params, n)
-    return plus.energy - minus.energy
+    return center - half_split, center + half_split
 
 
 def _rabi_chain_arrays(
@@ -166,26 +134,19 @@ def _rabi_chunks(
 ) -> Iterator[tuple[slice, _Chains]]:
     """``_Chains`` of the lowest ``levels`` eigenpairs of both parity chains
     of the full Hamiltonian, for consecutive chunks of the grid ``lams``.
-    Yields (chunk slice, chains).  A chunk is short enough that two arrays
-    of its inverse iteration, (m, points, 2, levels) floats each with
-    m = n_max + 1 = dim / 2, stay within ``_CHUNK_BYTES``.
-
-    Bisection runs before the first chunk over the whole grid, in pieces
-    whose rows-first arrays, 3m - 1 rows of (points, 2, levels) floats,
-    stay within ``_BISECT_BYTES``.  Each point is bisected on its own, so
-    its values do not depend on the piece.
+    Yields (chunk slice, chains).  A chunk is short enough that bisection's
+    rows-first arrays, 3m - 1 rows of (points, 2, levels) floats with
+    m = n_max + 1 = dim / 2, stay within ``_CHUNK_BYTES``.  Each point is
+    bisected and inverse-iterated on its own, so its bits do not depend on
+    the chunk.
     """
     rows, diag, off = _rabi_chain_arrays(params, lams, basis)
     m = basis.n_max + 1
-    piece = max(1, _BISECT_BYTES // (8 * (3 * m - 1) * 2 * levels))
-    values = np.concatenate(
-        [_bisect(diag, off[start : start + piece], levels) for start in range(0, lams.size, piece)]
-    )
-    size = max(1, _CHUNK_BYTES // (8 * 2 * basis.dim * levels))
+    size = max(1, _CHUNK_BYTES // (8 * (3 * m - 1) * 2 * levels))
     for start in range(0, lams.size, size):
         chunk = slice(start, start + size)
-        pairs = _rabi_pairs(rows, diag, off[chunk], values[chunk], lams[chunk] == 0.0, tol)
-        yield chunk, pairs
+        values = _bisect(diag, off[chunk], levels)
+        yield chunk, _rabi_pairs(rows, diag, off[chunk], values, lams[chunk] == 0.0, tol)
 
 
 def _rabi_ladder(
@@ -292,19 +253,6 @@ def solve_rwa(
     return _point_system(basis, chains, 0)
 
 
-def transition_frequencies(eig: EigenSystem, ground_index: int = 0) -> np.ndarray:
-    """Frequencies nu_k = E_k - E_ground for every state above the ground.
-
-    With the default ``ground_index=0`` this is E[1:] - E[0], matching the
-    ascending eigenvalue order.
-    """
-    if not 0 <= ground_index < eig.dim:
-        raise ValidationError(
-            f"ground_index {ground_index} outside 0..{eig.dim - 1}"
-        )
-    return eig.eigenvalues[ground_index + 1 :] - eig.eigenvalues[ground_index]
-
-
 @dataclass(frozen=True)
 class SpectralLine:
     """One absorption stick: ground -> eigenstate ``to_index``.
@@ -337,9 +285,9 @@ def absorption_lines(
     """
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold!r}")
-    if eig.dim != len(basis):
+    if eig.dim != basis.dim:
         raise ValidationError(
-            f"eigensystem dimension {eig.dim} does not match basis dimension {len(basis)}"
+            f"eigensystem dimension {eig.dim} does not match basis dimension {basis.dim}"
         )
     elements = _dipole_elements(eig.eigenvectors[:, :1], eig.eigenvectors[:, 1:], hermitian)
     raw = elements * elements
@@ -388,17 +336,6 @@ _REGIME_LABELS = {
     Regime.ULTRA_STRONG: "ultra-strong",
     Regime.DEEP_STRONG: "deep-strong",
 }
-
-_REGIME_BY_LABEL = {label: regime for regime, label in _REGIME_LABELS.items()}
-
-
-def regime_from_label(label: str) -> Regime:
-    """Inverse of ``Regime.label``."""
-    try:
-        return _REGIME_BY_LABEL[label]
-    except KeyError:
-        raise ValidationError(f"unknown regime label {label!r}") from None
-
 
 def classify_regime(lam: float, omega_c: float = 1.0) -> Regime:
     """Classify the coupling ratio r = lam / w_c into its regime.

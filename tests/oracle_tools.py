@@ -20,6 +20,9 @@ order.  ``broadcast_bisect`` is ``_bisect`` as it was before its shift
 was made contiguous and its brackets were updated in place, the reference
 for that change.  ``run_with_blas_kernel`` runs a script in a fresh
 process on a chosen OpenBLAS kernel, for tests that compare kernels.
+``lapack_order`` sorts and labels LAPACK's eigenpairs of a built matrix by
+the rule ``EigenSystem`` documents, the reference for the library's one
+sort rule, which the other references share with the code they check.
 
 ``diagonalize`` is a dense cyclic Jacobi solver for any real symmetric
 matrix, and ``parity_blocks`` splits a model matrix into its two parity
@@ -155,6 +158,82 @@ def smallest_eigenvalue(matrix: np.ndarray, *, steps: int = 200) -> float:
 def reference_spectrum(matrix: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues from LAPACK, for cross-checking multisets."""
     return np.linalg.eigvalsh(matrix)
+
+
+@dataclass(frozen=True)
+class OracleState:
+    """One eigenstate of ``lapack_order``: its LAPACK eigenvalue, the parity
+    sector that holds its weight, the row of its largest component, its
+    ``EigenSystem`` label, and the run of values within ``tol`` (``group``)
+    it belongs to."""
+
+    value: float
+    parity: Parity
+    dominant: int
+    label: int
+    group: int
+
+
+def lapack_order(
+    matrix: np.ndarray, basis: ps.FockBasis, rwa: bool, tol: float
+) -> list[OracleState]:
+    """The eigenstates of a model ``matrix`` from LAPACK ``eigh``, labelled
+    and sorted as ``EigenSystem`` documents it, in plain Python, without
+    the library's solvers or sort rule.
+
+    Values closer than ``tol`` to their neighbour form one group and count
+    as tied: LAPACK may return any mixture of an even/odd tie, so each
+    group's span is first split into parity sectors by diagonalizing the
+    parity operator on it.  The sort key is (group, EVEN before ODD,
+    dominant row).  Labels: for the full model ``2 * rank + (0 even, 1
+    odd)``, rank by value within the parity, a tie ranking the state with
+    more photons lower; for the RWA ``2n - 1`` and ``2n`` for the two states
+    of excitation block n by value, a tie ranking the lower row first, 0 for
+    |g,0> and ``dim - 1`` for |e,n_max>.
+    """
+    values, vectors = np.linalg.eigh(matrix)
+    signs = basis.parity_signs
+    groups = [0]
+    for gap in np.diff(values).tolist():
+        groups.append(groups[-1] + (gap > tol))
+    for group in set(groups):
+        members = [k for k, g in enumerate(groups) if g == group]
+        if len(members) > 1:
+            span = vectors[:, members]
+            _, turn = np.linalg.eigh(span.T @ (signs[:, None] * span))
+            vectors[:, members] = span @ turn
+    states = []
+    for k, value in enumerate(values.tolist()):
+        weights = (vectors[:, k] ** 2).tolist()
+        odd_weight = sum(w for w, sign in zip(weights, signs.tolist()) if sign < 0)
+        states.append({
+            "value": value,
+            "parity": Parity.ODD if odd_weight > 0.5 else Parity.EVEN,
+            "dominant": max(range(len(weights)), key=weights.__getitem__),
+            "group": groups[k],
+        })
+    if rwa:
+        blocks = {}
+        for state in states:
+            blocks.setdefault(int(basis.excitations[state["dominant"]]), []).append(state)
+        for n, members in blocks.items():
+            members.sort(key=lambda state: (state["value"], state["dominant"]))
+            for branch, state in enumerate(members):
+                if n == 0:  # |g,0>
+                    state["label"] = 0
+                elif n > basis.n_max:  # |e,n_max>
+                    state["label"] = basis.dim - 1
+                else:
+                    state["label"] = 2 * n - 1 + branch
+    else:
+        for bit, parity in enumerate((Parity.EVEN, Parity.ODD)):
+            chain = [state for state in states if state["parity"] is parity]
+            chain.sort(key=lambda state: (state["value"], -state["dominant"]))
+            for rank, state in enumerate(chain):
+                state["label"] = 2 * rank + bit
+    odd = Parity.ODD
+    states.sort(key=lambda state: (state["group"], state["parity"] is odd, state["dominant"]))
+    return [OracleState(**state) for state in states]
 
 
 class AmbiguousTracking(RuntimeError):

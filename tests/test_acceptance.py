@@ -39,8 +39,7 @@ def test_criterion_1_rwa_matches_closed_form(record):
             _, eig = _rwa_eig(params, n_max)
             analytic = [ps.rwa_ground_energy(params), omega2 + (n_max + 0.5)]
             for n in range(1, n_max + 1):
-                minus, plus = ps.rwa_analytic_levels(params, n)
-                analytic.extend([minus.energy, plus.energy])
+                analytic.extend(ps.rwa_analytic_levels(params, n))
             dev = float(np.max(np.abs(eig.eigenvalues - np.sort(analytic))))
             worst = max(worst, dev)
     _check(
@@ -73,12 +72,12 @@ def test_criterion_2_low_coupling_agreement_and_divergence(record, default_sweep
 def test_criterion_3_rwa_level_crossing_at_omega_c(record):
     params_eq = ModelParams(lam=1.0)
     minus_eq, _ = ps.rwa_analytic_levels(params_eq, 1)
-    gap_eq = abs(minus_eq.energy - ps.rwa_ground_energy(params_eq))
+    gap_eq = abs(minus_eq - ps.rwa_ground_energy(params_eq))
     _, eig_eq = _rwa_eig(params_eq)
     gap_numeric = float(abs(eig_eq.eigenvalues[1] - eig_eq.eigenvalues[0]))
     params_beyond = ModelParams(lam=1.1)
     minus_beyond, _ = ps.rwa_analytic_levels(params_beyond, 1)
-    below = minus_beyond.energy < ps.rwa_ground_energy(params_beyond)
+    below = minus_beyond < ps.rwa_ground_energy(params_beyond)
     ok = gap_eq <= 1e-12 and gap_numeric <= 1e-12 and below
     _check(
         record,

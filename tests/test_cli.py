@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,17 @@ def test_main_spectrum_rejects_a_negative_k_states(tmp_path, capsys):
     assert main(["spectrum", "--k-states", "0", "--out", str(tmp_path)]) == 0
     data = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert [line.split(",")[:2] for line in data[1:]] == [["full", "0"], ["rwa", "0"]]
+
+
+def test_main_sweep_rejects_an_infinite_lambda_max(tmp_path, capsys):
+    # an infinite bound fails validation before numpy builds a NaN grid
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sweep", "--lambda-max", "inf", "--out", str(tmp_path)])
+    assert code == 1
+    assert "invalid parameters" in capsys.readouterr().err
+    assert caught == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_sweep_writes_figures_and_scripts(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polariscope as ps
-from polariscope import Atom, ModelParams, Parity, eigensolve, spectra
+from polariscope import ModelParams, Parity, eigensolve, spectra
 
 import oracle_tools
 
@@ -234,8 +234,8 @@ def test_parity_blocks_raise_on_leak():
     basis = ps.build_basis(2)
     h = ps.build_rabi_hamiltonian(ModelParams(lam=0.3), basis)
     h = h.copy()
-    i = basis.index(Atom.G, 0)  # even
-    j = basis.index(Atom.E, 0)  # odd
+    i = 2 * 0  # |g,0>, even
+    j = 2 * 0 + 1  # |e,0>, odd
     h[i, j] = h[j, i] = 1e-13
     with pytest.raises(oracle_tools.BlockLeak):
         oracle_tools.parity_blocks(h, basis)
@@ -312,6 +312,49 @@ def test_structured_solvers_match_jacobi_and_lapack(omega1, omega2, omega_c, lam
             assert np.array_equal(w, jacobi.eigenvalues)
             assert np.array_equal(v, jacobi.eigenvectors)
             assert eig.parities == jacobi.parities
+
+
+@pytest.mark.parametrize(
+    "omega2, lam, n_max, ties",
+    [
+        (1.0, 0.5, 14, 0),
+        (0.8, 0.9, 10, 0),
+        (1.2, 0.4, 30, 0),  # the even/odd crossing of levels 2 and 3, 2e-15 apart
+        (1.0, 0.0, 4, 0),  # same-parity ties |g,n+1>, |e,n>
+        (2.0, 0.0, 6, 10),  # even/odd ties |g,n+2>, |e,n>, five in each model
+        # RWA: |g,0> with block 1's minus, block 1's plus with block 4's minus
+        (1.0, 1.0, 8, 2),
+        # RWA: four even/odd crossings, block 1's minus with block 4's among them
+        (1.0, 3.0, 30, 4),
+    ],
+)
+def test_order_parities_and_labels_match_a_lapack_oracle(omega2, lam, n_max, ties):
+    # the oracle sorts LAPACK's eigenpairs in plain Python, so a change to
+    # _eigen_order's keys shows even where every other reference sorts
+    # through it; positions whose values are near but not exactly tied
+    # are compared as sets
+    params, basis = ModelParams(omega2=omega2, lam=lam), ps.build_basis(n_max)
+    exact_ties = 0
+    for build, solve in (
+        (ps.build_rabi_hamiltonian, ps.solve_rabi),
+        (ps.build_rwa_hamiltonian, ps.solve_rwa),
+    ):
+        h = build(params, basis)
+        tol = 1e-12 * np.linalg.norm(h)
+        eig = solve(params, basis)
+        states = oracle_tools.lapack_order(h, basis, build is ps.build_rwa_hamiltonian, tol)
+        values = np.array([state.value for state in states])
+        assert np.max(np.abs(eig.eigenvalues - values)) <= tol
+        for group in sorted({state.group for state in states}):
+            run = [k for k, state in enumerate(states) if state.group == group]
+            expected = [(states[k].parity, states[k].label) for k in run]
+            solved = [(eig.parities[k], int(eig.labels[k])) for k in run]
+            if len(set(eig.eigenvalues[run].tolist())) == 1:
+                assert solved == expected
+                exact_ties += len({parity for parity, _ in expected}) - 1
+            else:
+                assert sorted(solved, key=str) == sorted(expected, key=str)
+    assert exact_ties == ties
 
 
 def test_rabi_labels_are_parity_and_rank():
@@ -564,15 +607,16 @@ def test_chain_kernels_match_the_displaced_oscillator_at_zero_splitting(omega1, 
 
 def test_rabi_chunks_bisect_a_large_grid_in_pieces_within_the_budget():
     # bisection's rows-first arrays hold chain rows, so a grid past
-    # _BISECT_BYTES is bisected in pieces: the peak allocation of a pass
-    # stays within that budget plus the inverse-iteration chunk arrays and
-    # the grid's own off-diagonals, and the pieces give the bits of one
-    # whole-grid bisection by the broadcast reference
+    # _CHUNK_BYTES is solved chunk by chunk: the peak allocation of a pass
+    # stays within a few budgets plus the grid's own off-diagonals (2.2
+    # budgets here: a chunk's bisection arrays, then its inverse iteration),
+    # and the chunks give the bits of one whole-grid bisection by the
+    # broadcast reference
     params, basis, levels = ModelParams(), ps.build_basis(60), 8
     lams = np.linspace(0.0, 3.0, 401)
     _, diag, off = spectra._rabi_chain_arrays(params, lams, basis)
     whole_grid = (3 * basis.dim // 2 - 1) * off.shape[0] * 2 * levels * 8
-    assert whole_grid > 4 * spectra._BISECT_BYTES
+    assert whole_grid > 4 * spectra._CHUNK_BYTES
     tracemalloc.start()
     try:
         chunks = spectra._rabi_chunks(params, lams, basis, levels, 1e-12)
@@ -580,7 +624,8 @@ def test_rabi_chunks_bisect_a_large_grid_in_pieces_within_the_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= off.nbytes + spectra._BISECT_BYTES + 4 * spectra._CHUNK_BYTES
+    assert len(values) > 4
+    assert peak <= off.nbytes + 3 * spectra._CHUNK_BYTES
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         whole = oracle_tools.broadcast_bisect(diag, off, levels)
@@ -734,3 +779,49 @@ def test_structured_tol_bounds_the_residual(solve):
     assert info.value.lam == 0.5
     with pytest.raises(ps.ValidationError):
         solve(params, basis, tol=0.0)
+
+
+_THRESHOLD_CASES = [
+    (ModelParams(lam=lam, omega1=omega1, omega2=omega2, omega_c=omega_c), n_max)
+    for lam in (0.0, 0.37, 3.0)
+    for omega1, omega2, omega_c in ((0.0, 1.0, 1.0), (-0.3, 2.5, 1.7))
+    for n_max in (0, 3, 60)
+]
+
+
+def test_residual_threshold_is_tol_times_the_frobenius_norm():
+    # each point's threshold is tol * ||H||_F of the matrix the builders
+    # assemble, to a few ulps, for both models
+    tol = 1e-12
+    for params, n_max in _THRESHOLD_CASES:
+        basis, lams = ps.build_basis(n_max), np.array([params.lam])
+        [(_, full)] = spectra._rabi_chunks(params, lams, basis, n_max + 1, tol)
+        rwa = spectra._rwa_chains(params, lams, basis, tol)
+        for chains, build in ((full, ps.build_rabi_hamiltonian), (rwa, ps.build_rwa_hamiltonian)):
+            expected = tol * np.linalg.norm(build(params, basis))
+            assert abs(chains.threshold[0] - expected) <= 4 * eigensolve._EPS * expected
+
+
+@pytest.mark.parametrize("solve, build", [
+    (ps.solve_rabi, ps.build_rabi_hamiltonian),
+    (ps.solve_rwa, ps.build_rwa_hamiltonian),
+])
+def test_a_residual_just_above_tol_times_the_norm_raises(solve, build):
+    # residuals forced a hair above and below tol * ||H||_F of the built
+    # matrix: only the first raises
+    params, basis, tol = ModelParams(omega2=1.2, lam=0.7), ps.build_basis(9), 1e-10
+    bound = tol * np.linalg.norm(build(params, basis))
+    init = eigensolve._Chains.__init__
+    for factor, raises in ((1 + 1e-12, True), (1 - 1e-12, False)):
+
+        def forced(self, *args):
+            init(self, *args)
+            self.residual = np.full_like(self.residual, factor * bound)
+
+        with mock.patch.object(eigensolve._Chains, "__init__", forced):
+            if raises:
+                with pytest.raises(ps.NonConvergence) as info:
+                    solve(params, basis, tol=tol)
+                assert info.value.residual == factor * bound
+            else:
+                assert solve(params, basis, tol=tol).residual == factor * bound

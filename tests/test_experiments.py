@@ -35,6 +35,9 @@ def test_sweepgrid_values_and_validation():
         ps.SweepGrid(lambda_min=-0.1, lambda_max=1.0)
     with pytest.raises(ps.ValidationError):
         ps.SweepGrid(steps=1)
+    for bounds in ({"lambda_max": np.inf}, {"lambda_max": np.nan}, {"lambda_min": -np.inf}):
+        with pytest.raises(ps.ValidationError):
+            ps.SweepGrid(**bounds)
 
 
 def test_track_states_identity():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import polariscope as ps
-from polariscope import Atom, ModelParams
+from polariscope import ModelParams
 
 
 def test_build_basis_smallest():
     basis = ps.build_basis(0)
     assert basis.dim == 2
     # |g,0> then |e,0>
-    assert (basis.index(Atom.G, 0), basis.index(Atom.E, 0)) == (0, 1)
     assert np.array_equal(basis.photon_numbers, [0, 0])
     assert np.array_equal(basis.excitations, [0, 1])
 
@@ -21,14 +20,16 @@ def test_build_basis_default_dimension():
 
 
 def test_basis_interleaved_index_arithmetic():
+    # |g,n> sits at 2n and |e,n> at 2n + 1: the bare diagonal reads
+    # w1 + w_c (n + 1/2) at even indices and w2 + w_c (n + 1/2) at odd ones
     basis = ps.build_basis(5)
+    params = ModelParams(omega1=0.25, omega2=1.5)
+    diag = ps.bare_energies(params, basis)
     for n in range(6):
-        assert basis.index(Atom.G, n) == 2 * n
-        assert basis.index(Atom.E, n) == 2 * n + 1
-    indices = {basis.index(atom, n) for n in range(6) for atom in Atom}
-    assert indices == set(range(basis.dim))
-    with pytest.raises(ps.ValidationError):
-        basis.index(Atom.G, 6)
+        assert basis.photon_numbers[2 * n] == basis.photon_numbers[2 * n + 1] == n
+        assert diag[2 * n] == 0.25 + (n + 0.5)
+        assert diag[2 * n + 1] == 1.5 + (n + 0.5)
+    assert basis.dim == 2 * 6
 
 
 def test_basis_parities_nmax1():
@@ -39,10 +40,10 @@ def test_basis_parities_nmax1():
 
 def test_excitation_count_and_parity_arrays():
     basis = ps.build_basis(3)
-    assert basis.excitations[basis.index(Atom.G, 0)] == 0
-    assert basis.excitations[basis.index(Atom.E, 1)] == 2
-    assert basis.parity_signs[basis.index(Atom.E, 1)] == 1
-    assert basis.parity_signs[basis.index(Atom.G, 3)] == -1
+    assert basis.excitations[2 * 0] == 0  # |g,0>
+    assert basis.excitations[2 * 1 + 1] == 2  # |e,1>
+    assert basis.parity_signs[2 * 1 + 1] == 1  # |e,1>
+    assert basis.parity_signs[2 * 3] == -1  # |g,3>
 
 
 def test_basis_arrays_and_immutability():
@@ -99,8 +100,8 @@ def test_difference_is_counter_rotating_couplings_only():
     )
     expected = np.zeros_like(diff)
     for n in range(7):
-        i = basis.index(Atom.G, n)
-        j = basis.index(Atom.E, n + 1)
+        i = 2 * n  # |g,n>
+        j = 2 * (n + 1) + 1  # |e,n+1>
         expected[i, j] = expected[j, i] = lam * math.sqrt(n + 1)
     assert np.array_equal(diff, expected)
 
@@ -171,14 +172,6 @@ def test_params_accessors():
 def test_params_validation(kwargs):
     with pytest.raises(ps.ValidationError):
         ModelParams(**kwargs)
-
-
-def test_basis_state_validation():
-    basis = ps.build_basis(3)
-    with pytest.raises(ps.ValidationError):
-        basis.index(Atom.G, -1)
-    with pytest.raises(ps.ValidationError):
-        basis.index(Atom.E, 1.5)
 
 
 @pytest.mark.parametrize("n_max", [-1, 2.5])
