@@ -44,8 +44,9 @@ from .spectra import classify_regime
 
 COMMANDS = ("spectrum", "sweep", "observables", "absorption", "converge", "regimes")
 
-#: Truncation ladder used by `converge`; values above --n-max are dropped and
-#: --n-max itself is appended as the reference truncation.
+#: Truncation ladder used by `converge`; values at or above --n-max and those
+#: that retain fewer than --k-states basis states (2 (n + 1) < K) are dropped,
+#: and --n-max itself is appended as the reference truncation.
 CONVERGE_LADDER = (4, 6, 8, 10, 14, 20, 28, 40)
 
 _ENV_OUT = "POLARISCOPE_OUT"
@@ -276,7 +277,9 @@ def _run_spectrum(config: RunConfig) -> None:
 
 
 def _run_converge(config: RunConfig) -> None:
-    ladder = [n for n in CONVERGE_LADDER if n < config.n_max] + [config.n_max]
+    ladder = [
+        n for n in CONVERGE_LADDER if n < config.n_max and 2 * (n + 1) >= config.k_states
+    ] + [config.n_max]
     table = convergence_study(
         config.params, ladder, config.k_states, tol=config.tol
     )

@@ -259,7 +259,10 @@ def _orthogonalize_clusters(
     It restarts from ``_start_vector``, then each of ``INVERSE_STEPS``
     projects it and takes one step with the factorization ``mult``
     (m-1, p, c, K) and ``piv`` (m, p, c, K) of its shift, up to
-    ``_RESTARTS`` times.  A member that passes keeps its bits.
+    ``_RESTARTS`` times.  A member that passes keeps its bits.  Only the
+    rows before a chain's padding (its trailing rows of infinite pivot, see
+    ``_inverse_iteration``) take part, where the vectors are exactly 0, so
+    a padded chain keeps the bits of the unpadded one.
 
     Each projection and norm adds its terms one at a time in a fixed order
     (the rule of ``observables``), so a vector's bits depend neither on the
@@ -269,8 +272,9 @@ def _orthogonalize_clusters(
         first = k
         while first > 0 and close[point, s, first - 1]:
             first -= 1
-        cluster = v[:, point, s, first : k + 1]
-        lane = (slice(None), point, s, k + 1)
+        end = len(piv) - int(np.argmax(piv[::-1, point, s, k + 1] < np.inf))
+        cluster = v[:end, point, s, first : k + 1]
+        lane = (slice(end), point, s, k + 1)
         w = v[lane]
         attempt = 0
         while _project(cluster, w) and attempt < _RESTARTS:
@@ -282,23 +286,27 @@ def _orthogonalize_clusters(
 
 
 def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of chains (c, m) over a chunk of grid points.
+    """Unit eigenvectors of chains over a chunk of grid points.
 
-    ``off`` (p, c, m-1) holds each point's nonzero off-diagonals and
-    ``values`` (p, c, K) the lowest K eigenvalues of each chain, ascending;
-    the result is (m, p, c, K) with ``[:, i, s, k]`` the eigenvector of
-    ``values[i, s, k]``.  All shifts run at once: T - value = L D L^T is
-    factored once (pivots below eps times the point's spectral radius are
-    raised to it), then each step solves with it and normalizes.  The
-    factorization and the substitutions run rows first, one row of every
-    point, chain and shift per numpy call, into buffers allocated once.
-    Eigenvalues closer than ``_CLUSTER_GAP`` of that radius are
-    Gram-Schmidt orthogonalized against the lower members of their cluster
-    after every step, as in LAPACK's dstein, which also separates exact
-    ties; a member that the projection leaves without a direction of its
-    own restarts from a fresh start vector (``_orthogonalize_clusters``).
-    Every operation acts on one point
-    and one eigenvector at a time, so a column's bits depend neither on the
+    ``diag`` is the chains' diagonal, shared (c, m) or per point (p, c, m),
+    ``off`` (p, c, m-1) holds each point's off-diagonals and ``values``
+    (p, c, K) the lowest K eigenvalues of each chain, ascending; the result
+    is (m, p, c, K) with ``[:, i, s, k]`` the eigenvector of
+    ``values[i, s, k]``.  A chain may be padded past its end with rows of
+    diagonal +inf and off-diagonal 0, as in ``_bisect``: its eigenvectors
+    are exactly 0 there and keep the bits of the unpadded chain's.  A NaN
+    value gives a NaN column and clusters with no other.  All shifts run at
+    once: T - value = L D L^T is factored once (pivots below eps times the
+    point's spectral radius are raised to it), then each step solves with
+    it and normalizes.  The factorization and the substitutions run rows
+    first, one row of every point, chain and shift per numpy call, into
+    buffers allocated once.  Eigenvalues closer than ``_CLUSTER_GAP`` of
+    that radius are Gram-Schmidt orthogonalized against the lower members
+    of their cluster after every step, as in LAPACK's dstein, which also
+    separates exact ties; a member that the projection leaves without a
+    direction of its own restarts from a fresh start vector
+    (``_orthogonalize_clusters``).  Every operation acts on one point and
+    one eigenvector at a time, so a column's bits depend neither on the
     chunk nor on K.  Iterates that overflow leave non-finite vectors, which
     the residual check rejects.
     """
@@ -306,7 +314,7 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) ->
     radius = np.max(_radius(diag, off), axis=1, keepdims=True)
     floor = _EPS * radius
     # row-major working layout: [row i, point, chain, eigenvalue k]
-    piv = diag.T[:, None, :, None] - values
+    piv = _rows_first(diag, values.ndim) - values
     off = off.transpose(2, 0, 1)[..., None]
     close = values[..., 1:] - values[..., :-1] <= _CLUSTER_GAP * radius
     # Generic, distinct start vectors per eigenvalue (multiplicative hashing
@@ -340,6 +348,34 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) ->
     return v
 
 
+def _residuals(
+    diag: np.ndarray, off: np.ndarray, values: np.ndarray, v: np.ndarray, lanes=True
+) -> np.ndarray:
+    """Each point's worst eigenpair residual ``||Hv - Ev||`` (p,) over the
+    ``lanes`` that broadcast against ``values`` (p, c, K), for unit
+    eigenvectors ``v`` (m, p, c, K) of chains with diagonal ``diag``, shared
+    (c, m) or per point (p, c, m), and off-diagonals ``off`` (p, c, m-1).
+    Padded rows where ``diag``, ``off`` and ``v`` are all 0 add only zeros
+    to a lane's sum, and lanes outside ``lanes`` are ignored, so a padded
+    chain keeps the bits of the unpadded one."""
+    # entries past the float range leave inf and nan residuals, which
+    # _check_residuals rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        offs = off.transpose(2, 0, 1)[..., None]
+        r = (_rows_first(diag, values.ndim) - values) * v
+        r[1:] += offs * v[:-1]
+        r[:-1] += offs * v[1:]
+        return np.sqrt(np.max(np.sum(r * r, axis=0), axis=(1, 2), where=lanes, initial=0.0))
+
+
+def _thresholds(tol: float, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """``tol * ||H||_F`` (p,) of chains with diagonal ``diag`` (c, m),
+    shared by the points, and off-diagonals ``off`` (p, c, m-1)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.sum(diag * diag) + 2.0 * np.sum((off * off).reshape(len(off), -1), axis=1)
+    return tol * np.sqrt(squares)
+
+
 class _Chains:
     """Eigenpairs of the chains (c, L) of basis states ``rows`` at each
     point of a chunk of the coupling grid, from the eigenvalues ``values``
@@ -355,15 +391,8 @@ class _Chains:
     """
 
     def __init__(self, rows, labels, tol, diag, off, values, v):
-        # entries past the float range leave inf and nan residuals, which
-        # _check_residuals rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            offs = off.transpose(2, 0, 1)[..., None]
-            r = (diag.T[:, None, :, None] - values) * v
-            r[1:] += offs * v[:-1]
-            r[:-1] += offs * v[1:]
-            self.residual = np.sqrt(np.max(np.sum(r * r, axis=0), axis=(1, 2)))
-            squares = np.sum(diag * diag) + 2.0 * np.sum((off * off).reshape(len(off), -1), axis=1)
+        self.residual = _residuals(diag, off, values, v)
+        self.threshold = _thresholds(tol, diag, off)
         top = np.argmax(np.abs(v), axis=0)
         point = np.arange(len(off))[:, None, None]
         chain = np.arange(len(diag))[:, None]
@@ -371,19 +400,29 @@ class _Chains:
         self.rows, self.labels, self.values = rows, labels, values
         self.vectors = v * np.where(lead < 0.0, -1.0, 1.0)
         self.dominant = rows[chain, top]
-        self.threshold = tol * np.sqrt(squares)
 
 
 def _check_residuals(lams: np.ndarray, *models: _Chains) -> None:
     """Raise NonConvergence at the first point of ``lams``, in grid order
     and then in argument order, where a model's residual exceeds its
     threshold."""
-    failed = np.stack([~(chains.residual <= chains.threshold) for chains in models], axis=1)
+    _check_points(
+        lams,
+        np.stack([chains.residual for chains in models], axis=1),
+        np.stack([chains.threshold for chains in models], axis=1),
+    )
+
+
+def _check_points(lams: np.ndarray, residual: np.ndarray, threshold: np.ndarray) -> None:
+    """Raise NonConvergence at the first entry of ``residual`` above
+    ``threshold``, arrays with one row per point of ``lams``, in row-major
+    order."""
+    failed = ~(residual <= threshold)
     if failed.any():
-        point, model = divmod(int(np.argmax(failed)), len(models))
-        residual, threshold = models[model].residual[point], models[model].threshold[point]
+        first = np.unravel_index(np.argmax(failed), failed.shape)
+        residual, threshold = residual[first], threshold[first]
         message = f"eigenvector residual {residual:.3e} above threshold {threshold:.3e}"
-        raise NonConvergence(message, residual=float(residual), lam=float(lams[point]))
+        raise NonConvergence(message, residual=float(residual), lam=float(lams[first[0]]))
 
 
 def _eigen_order(basis: FockBasis, chains: _Chains) -> np.ndarray:

@@ -277,12 +277,15 @@ def convergence_study(
     every truncation must retain at least k_states basis states.  The
     deviation column compares against the largest truncation in the list.
 
-    All rungs are solved in one pass, and only the lowest k_states levels
-    of each parity chain (fewer if the chain is shorter), which hold the
-    rung's lowest k_states energies.  The energies have the bits of
+    All rungs are solved at once, as the points of one chunk (see
+    ``spectra._rabi_ladder``): one bisection, one inverse iteration and one
+    residual pass, for only the lowest k_states levels of each parity
+    chain (fewer if the chain is shorter), which hold the rung's lowest
+    k_states energies.  The energies have the bits of
     ``solve_rabi(...).eigenvalues[:k_states]`` at each rung.  The residual
     check covers exactly those levels: NonConvergence is raised at the
-    first rung where the residual of one of them exceeds ``tol * ||H||_F``.
+    first rung, in ascending order, where the residual of one of them
+    exceeds ``tol * ||H||_F``.
     """
     n_maxes = [_check_n_max(n) for n in n_max_list]
     if not n_maxes:

@@ -37,11 +37,14 @@ from .eigensolve import (
     EigenSystem,
     _bisect,
     _Chains,
+    _check_points,
     _check_residuals,
     _check_tol,
     _inverse_iteration,
     _point_system,
+    _residuals,
     _rotations,
+    _thresholds,
 )
 from .model import FockBasis, ModelParams, bare_energies, build_basis
 from .observables import _dipole_elements
@@ -97,6 +100,17 @@ def _rabi_chain_arrays(
     return rows, diag, off
 
 
+def _diagonal_pairs(diag: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest ``levels`` eigenpairs of uncoupled (lam = 0) chains with
+    diagonal ``diag`` (..., m): the sorted diagonal (..., levels) and basis
+    vectors (m, ..., levels).  A tie within a chain is ranked as a small
+    coupling splits it at resonance, the state with more photons lower (see
+    ``solve_rabi``); NaN rows sort last."""
+    m = diag.shape[-1]
+    order = np.lexsort((np.broadcast_to(-np.arange(m), diag.shape), diag), axis=-1)[..., :levels]
+    return np.take_along_axis(diag, order, axis=-1), np.eye(m)[:, order]
+
+
 def _rabi_pairs(
     rows: np.ndarray,
     diag: np.ndarray,
@@ -111,14 +125,14 @@ def _rabi_pairs(
 
     At the points ``zero`` (lam = 0) the chains are diagonal: ``values`` is
     overwritten there with the exact sorted diagonal and the eigenvectors
-    are basis states (see ``solve_rabi``).  Elsewhere they come from
+    are basis states (``_diagonal_pairs``).  Elsewhere they come from
     inverse iteration.
     """
     m, levels = diag.shape[-1], values.shape[-1]
-    order = np.stack([np.lexsort((-np.arange(m), chain)) for chain in diag])[:, :levels]
-    values[zero] = diag[[[0], [1]], order]
+    exact, basis_vectors = _diagonal_pairs(diag, levels)
+    values[zero] = exact
     v = np.empty((m, *values.shape))
-    v[:, zero] = np.eye(m)[:, None, order]
+    v[:, zero] = basis_vectors[:, None]
     on = ~zero
     v[:, on] = _inverse_iteration(diag, off[on], values[on])
     labels = 2 * np.arange(levels) + np.arange(2)[:, None]
@@ -158,37 +172,41 @@ def _rabi_ladder(
 
     Neither the diagonal nor the off-diagonals of a parity chain depend on
     n_max, so each rung's chains are the leading rows of the largest
-    rung's.  One bisection serves the whole ladder: the chains are stacked
-    (rungs, 2, M), with the rows past each rung's end padded by an infinite
-    diagonal and zero off-diagonals, which count no eigenvalue.  It finds
-    only the lowest min(k_states, n_max + 1) levels of each chain, which
-    hold the rung's lowest k_states.  Each rung then inverse-iterates those
-    levels on its own chains and raises NonConvergence, rungs in ascending
-    order, if their worst residual exceeds ``tol * ||H||_F``.
+    rung's.  The rungs are solved as the points of one chunk: their chains
+    are stacked (rungs, 2, M), with the rows past each rung's end padded by
+    an infinite diagonal and zero off-diagonals, which count no eigenvalue
+    in bisection and leave eigenvectors exactly 0 in inverse iteration.
+    One bisection and one inverse iteration find only the lowest
+    min(k_states, n_max + 1) levels of each chain, which hold the rung's
+    lowest k_states; lanes past a short rung's end hold NaN.  At lam = 0
+    the levels are the exact sorted diagonal instead.  One residual pass,
+    with the diagonal zeroed on padded rows, then gives each rung's worst
+    residual over its own levels, with the bits of a solve of that rung
+    alone, and NonConvergence is raised at the first rung, in ascending
+    order, whose residual exceeds its ``tol * ||H||_F``.
     """
     _check_tol(tol)
     lams = np.array([params.lam])
-    rows, diag, off = _rabi_chain_arrays(params, lams, build_basis(n_maxes[-1]))
-    sizes = [n_max + 1 for n_max in n_maxes]
-    inside = np.arange(diag.shape[-1]) < np.array(sizes)[:, None, None]
-    values = _bisect(
-        np.where(inside, diag, np.inf),
-        np.where(inside[..., 1:], off, 0.0),
-        min(k_states, diag.shape[-1]),
+    _, diag, off = _rabi_chain_arrays(params, lams, build_basis(n_maxes[-1]))
+    sizes = np.array(n_maxes) + 1
+    levels = min(k_states, diag.shape[-1])
+    inside = np.arange(diag.shape[-1]) < sizes[:, None, None]
+    lanes = np.arange(levels) < sizes[:, None, None]
+    padded_off = np.where(inside[..., 1:], off, 0.0)
+    if params.lam == 0.0:
+        values, v = _diagonal_pairs(np.where(inside, diag, np.nan), levels)
+    else:
+        padded_diag = np.where(inside, diag, np.inf)
+        values = _bisect(padded_diag, padded_off, levels)
+        np.copyto(values, np.nan, where=~lanes)
+        v = _inverse_iteration(padded_diag, padded_off, values)
+    residual = _residuals(np.where(inside, diag, 0.0), padded_off, values, v, lanes)
+    # each rung's norm sums its own rows, in the order of a solve of it alone
+    threshold = np.concatenate(
+        [_thresholds(tol, diag[:, :size], off[..., : size - 1]) for size in sizes]
     )
-    energies = np.empty((len(sizes), k_states))
-    for rung, size in enumerate(sizes):
-        chains = _rabi_pairs(
-            rows[:, :size],
-            diag[:, :size],
-            off[..., : size - 1],
-            values[rung : rung + 1, :, : min(k_states, size)],
-            lams == 0.0,
-            tol,
-        )
-        _check_residuals(lams, chains)
-        energies[rung] = np.sort(chains.values, axis=None)[:k_states]
-    return energies
+    _check_points(np.repeat(lams, sizes.size), residual, threshold)
+    return np.sort(values.reshape(sizes.size, -1), axis=-1)[:, :k_states]
 
 
 def solve_rabi(

@@ -263,6 +263,19 @@ def test_main_converge(tmp_path, capsys):
     assert float(lines[-1].split(",")[-1]) == 0.0
 
 
+def test_main_converge_keeps_only_rungs_that_hold_k_states(tmp_path, capsys):
+    # rung 4 retains 10 basis states, fewer than 12: the ladder starts at 6
+    args = ["converge", "--lambda", "1.0", "--n-max", "63", "--k-states", "12"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "6", "8", "10", "14", "20", "28", "40", "63"
+    ]
+    # no rung holds 200 states, --n-max itself included
+    assert main(["converge", "--n-max", "63", "--k-states", "200", "--out", str(tmp_path)]) == 1
+    assert "n_max=63 retains fewer than k_states=200" in capsys.readouterr().err
+
+
 def test_main_regimes(tmp_path):
     code = main(
         ["regimes", "--steps", "16", "--lambda-max", "1.5", "--out", str(tmp_path)]
@@ -343,6 +356,8 @@ def test_main_overflowing_solver_exits_2_without_runtime_warnings(tmp_path):
     [
         (["--omega2", "1e-140", "--omega-c", "1e-140", "--lambda", "1e-140"], "1e-140"),
         (["--tol", "1e-30"], "0.5"),
+        # rungs 6, 8 and 10 are shorter than the 12 levels the ladder solves
+        (["--tol", "1e-30", "--n-max", "63", "--k-states", "12"], "0.5"),
     ],
 )
 def test_main_converge_failure_exits_2_without_runtime_warnings(tmp_path, args, coupling):

@@ -650,6 +650,41 @@ def test_bisect_matches_the_broadcast_reference_on_the_converge_ladder():
     assert values.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize(
+    "params, rungs, levels",
+    [
+        (ModelParams(lam=1.0), [5, 6, 8, 10, 14, 20, 28, 40, 63], 12),
+        # clusters ~1e-200 wide, whose members restart from fresh vectors
+        (ModelParams(omega_c=1e-200, lam=1e-100), [20, 28, 40, 63], 40),
+    ],
+)
+def test_inverse_iteration_keeps_the_bits_of_each_padded_chain(params, rungs, levels):
+    # per-point chains padded past their end with an infinite diagonal, and
+    # lanes past a short chain's end set to NaN: every chain's vectors equal
+    # those of the chain solved alone, and are exactly 0 on its padded rows
+    _, diag, off = spectra._rabi_chain_arrays(
+        params, np.array([params.lam]), ps.build_basis(rungs[-1])
+    )
+    sizes = np.array(rungs) + 1
+    inside = np.arange(diag.shape[-1]) < sizes[:, None, None]
+    padded_diag, padded_off = np.where(inside, diag, np.inf), np.where(inside[..., 1:], off, 0.0)
+    values = eigensolve._bisect(padded_diag, padded_off, levels)
+    np.copyto(values, np.nan, where=np.arange(levels) >= sizes[:, None, None])
+    with mock.patch.object(
+        eigensolve, "_start_vector", wraps=eigensolve._start_vector
+    ) as start, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = eigensolve._inverse_iteration(padded_diag, padded_off, values)
+    assert start.called == (params.lam < 1e-50)
+    for rung, size in enumerate(sizes):
+        k = min(levels, size)
+        alone = eigensolve._inverse_iteration(
+            diag[:, :size], off[..., : size - 1], values[rung : rung + 1, :, :k]
+        )
+        assert v[:size, rung : rung + 1, :, :k].tobytes() == alone.tobytes()
+        assert not v[size:, rung, :, :k].any()
+
+
 _ROTATION_ENTRIES = st.one_of(
     st.floats(),
     st.sampled_from(

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracle_tools
 import polariscope as ps
-from polariscope import EigenSystem, ModelParams, Parity, Regime
+from polariscope import EigenSystem, ModelParams, Parity, Regime, eigensolve, spectra
 from polariscope.experiments import _observable_arrays
 
 
@@ -306,6 +307,81 @@ def test_convergence_study_matches_per_rung_solves(omega2, lam, ladder, k_states
     for row, expected in zip(rows, energies):
         assert row.energies.tobytes() == expected.tobytes()
         assert row.max_abs_dev == float(np.max(np.abs(expected - energies[-1])))
+
+
+def _rung_chains(params, n_max, k_states, tol=1e-12):
+    """The chains of one truncation solved alone, for its lowest
+    min(k_states, n_max + 1) levels per chain."""
+    basis, lams = ps.build_basis(n_max), np.array([params.lam])
+    [(_, chains)] = spectra._rabi_chunks(params, lams, basis, min(k_states, n_max + 1), tol)
+    return chains
+
+
+def _ladder_check(params, ladder, k_states, tol=1e-12):
+    """The energies of ``convergence_study`` and the (residual, threshold)
+    arrays its ladder passes to the residual check."""
+    with mock.patch.object(spectra, "_check_points", wraps=eigensolve._check_points) as check:
+        rows = ps.convergence_study(params, ladder, k_states, tol=tol)
+    [(_, residual, threshold)] = [call.args for call in check.call_args_list]
+    return rows, residual, threshold
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    omega2=st.sampled_from([0.8, 1.0, 1.2, 2.5]),
+    lam=st.floats(min_value=0.0, max_value=3.0),
+    ladder=st.lists(
+        st.integers(min_value=0, max_value=24), min_size=1, max_size=5, unique=True
+    ).map(sorted),
+    k_states=st.integers(min_value=1, max_value=12),
+)
+@example(omega2=1.0, lam=0.0, ladder=[3, 5, 9], k_states=7)
+@example(omega2=1.0, lam=1e-9, ladder=[3, 5, 9], k_states=7)
+@example(omega2=1.0, lam=1.0, ladder=[5, 6, 8, 10, 14, 20, 28, 40, 63], k_states=12)
+def test_ladder_residuals_match_per_rung_solves(omega2, lam, ladder, k_states):
+    # the ladder's one residual pass, over rungs padded past their end and
+    # lanes past a short rung's end, gives each rung the residual and
+    # threshold of a solve of that rung alone, bit for bit
+    k_states = min(k_states, 2 * (ladder[0] + 1))
+    params = ModelParams(omega2=omega2, lam=lam)
+    _, residual, threshold = _ladder_check(params, ladder, k_states)
+    rungs = [_rung_chains(params, n_max, k_states) for n_max in ladder]
+    assert residual.tobytes() == np.concatenate([c.residual for c in rungs]).tobytes()
+    assert threshold.tobytes() == np.concatenate([c.threshold for c in rungs]).tobytes()
+
+
+def test_ladder_restarts_like_per_rung_solves():
+    # clusters ~1e-200 wide restart their members from fresh start vectors;
+    # a restart puts no weight on a rung's padded rows, so the residuals,
+    # thresholds and energies keep the bits of the per-rung solves
+    params, ladder, k_states = ModelParams(omega_c=1e-200, lam=1e-100), [20, 28, 40, 63], 40
+    with mock.patch.object(
+        eigensolve, "_start_vector", wraps=eigensolve._start_vector
+    ) as start:
+        rows, residual, threshold = _ladder_check(params, ladder, k_states)
+    assert start.called
+    rungs = [_rung_chains(params, n_max, k_states) for n_max in ladder]
+    assert residual.tobytes() == np.concatenate([c.residual for c in rungs]).tobytes()
+    assert threshold.tobytes() == np.concatenate([c.threshold for c in rungs]).tobytes()
+    for row, chains in zip(rows, rungs):
+        assert row.energies.tobytes() == np.sort(chains.values, axis=None)[:k_states].tobytes()
+
+
+def test_ladder_nonconvergence_names_the_first_failing_rung():
+    params, ladder = ModelParams(lam=1.0), [10, 14, 20]
+    rungs = [_rung_chains(params, n_max, 7) for n_max in ladder]
+    # every rung fails: the smallest is reported
+    with pytest.raises(ps.NonConvergence) as info:
+        ps.convergence_study(params, ladder, tol=1e-30)
+    assert info.value.residual == rungs[0].residual[0]
+    assert info.value.lam == 1.0
+    # a tol between the relative residuals of the first two rungs: the
+    # first passes, the second is reported, whatever the third does
+    relative = [c.residual[0] / (c.threshold[0] / 1e-12) for c in rungs]
+    assert relative[0] < relative[1]
+    with pytest.raises(ps.NonConvergence) as info:
+        ps.convergence_study(params, ladder, tol=0.5 * (relative[0] + relative[1]))
+    assert info.value.residual == rungs[1].residual[0]
 
 
 def test_sweep_datasets_structure():
