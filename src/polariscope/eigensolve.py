@@ -14,16 +14,17 @@ in, nor on K.  The row recurrences of bisection and inverse iteration hold
 the chain's row index on a leading axis, so each step down the chain is a
 couple of numpy calls over every point, chain and level at once.  No chain
 kernel calls BLAS: their bits do not depend on the kernel OpenBLAS picks for
-the CPU.  ``_rotations`` gives the closed-form rotations of 2x2 blocks,
-``_eigen_order`` is the one rule that sorts chain levels as ``EigenSystem``
-does, and ``_point_system`` turns one point of complete chains into a
-sorted ``EigenSystem``.
+the CPU.  ``_rotations`` gives the closed-form rotations of 2x2 blocks.
+``_Chains`` is the one place that turns a solve into each point's residual,
+threshold and ``EigenSystem`` sort order, and ``_point_system`` turns one
+point of complete chains into a sorted ``EigenSystem``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -349,7 +350,7 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray) ->
 
 
 def _residuals(
-    diag: np.ndarray, off: np.ndarray, values: np.ndarray, v: np.ndarray, lanes=True
+    diag: np.ndarray, off: np.ndarray, values: np.ndarray, v: np.ndarray, lanes: np.ndarray
 ) -> np.ndarray:
     """Each point's worst eigenpair residual ``||Hv - Ev||`` (p,) over the
     ``lanes`` that broadcast against ``values`` (p, c, K), for unit
@@ -368,55 +369,68 @@ def _residuals(
         return np.sqrt(np.max(np.sum(r * r, axis=0), axis=(1, 2), where=lanes, initial=0.0))
 
 
-def _thresholds(tol: float, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """``tol * ||H||_F`` (p,) of chains with diagonal ``diag`` (c, m),
-    shared by the points, and off-diagonals ``off`` (p, c, m-1)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.sum(diag * diag) + 2.0 * np.sum((off * off).reshape(len(off), -1), axis=1)
-    return tol * np.sqrt(squares)
-
-
 class _Chains:
-    """Eigenpairs of the chains (c, L) of basis states ``rows`` at each
-    point of a chunk of the coupling grid, from the eigenvalues ``values``
-    (p, c, K), ascending along each chain, and unit eigenvectors ``v``
-    (L, p, c, K) of chains with diagonal ``diag`` (c, L) and off-diagonals
-    ``off`` (p, c, L-1).
+    """Eigenpairs of the chains (c, L) of basis states ``rows`` of ``basis``
+    at each point of a chunk of the coupling grid, from the eigenvalues
+    ``values`` (p, c, K), ascending along each chain, and unit eigenvectors
+    ``v`` (L, p, c, K) of chains with diagonal ``diag`` (c, L) and
+    off-diagonals ``off`` (p, c, L-1).  Point i's chains are their leading
+    ``sizes[i]`` rows: past them ``off`` is 0, as is ``v`` in each level
+    k < sizes[i], and the levels k >= sizes[i] are ignored.
 
     ``vectors`` are ``v`` with each column's largest component made
     positive, and ``dominant`` (p, c, K) is that component's basis index.
     ``labels`` (c, K) names each chain column (see ``EigenSystem``).
+    ``odd`` (p, c * K) marks the chain-major columns whose dominant basis
+    state is ODD, and ``order`` (p, c * K) lists them in ``EigenSystem``
+    order: by eigenvalue, exact ties EVEN before ODD, then by ``dominant``;
+    both are computed on first use (the converge ladder sorts only its
+    values, which spares it a first ``lexsort`` and ~0.2 MB of peak RSS).
     ``residual`` (p,) is each point's worst eigenpair residual
-    ``||Hv - Ev||`` and ``threshold`` (p,) its ``tol * ||H||_F``.
+    ``||Hv - Ev||`` and ``threshold`` (p,) its ``tol * ||H||_F``, each over
+    the point's own rows and lanes, with the bits of a solve of its chains
+    alone.
     """
 
-    def __init__(self, rows, labels, tol, diag, off, values, v):
-        self.residual = _residuals(diag, off, values, v)
-        self.threshold = _thresholds(tol, diag, off)
+    def __init__(self, basis, rows, labels, tol, diag, off, values, v, sizes):
+        points, levels = len(off), values.shape[-1]
+        inside = np.arange(diag.shape[-1]) < sizes[:, None, None]
+        lanes = np.arange(levels) < sizes[:, None, None]
+        self.residual = _residuals(np.where(inside, diag, 0.0), off, values, v, lanes)
+        self.threshold = np.empty(points)
+        # each size's norm sums its own rows, in the order of a solve of it alone
+        for size in dict.fromkeys(sizes.tolist()):
+            group = sizes == size
+            d, o = diag[:, :size], off[group, :, : size - 1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                squares = np.sum(d * d) + 2.0 * np.sum((o * o).reshape(len(o), -1), axis=1)
+            self.threshold[group] = tol * np.sqrt(squares)
         top = np.argmax(np.abs(v), axis=0)
-        point = np.arange(len(off))[:, None, None]
+        point = np.arange(points)[:, None, None]
         chain = np.arange(len(diag))[:, None]
-        lead = v[top, point, chain, np.arange(values.shape[-1])]
+        lead = v[top, point, chain, np.arange(levels)]
         self.rows, self.labels, self.values = rows, labels, values
         self.vectors = v * np.where(lead < 0.0, -1.0, 1.0)
         self.dominant = rows[chain, top]
+        self.basis = basis
+
+    @cached_property
+    def odd(self) -> np.ndarray:
+        return self.basis.parity_signs[self.dominant.reshape(len(self.values), -1)] < 0
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        points = len(self.values)
+        keys = (self.dominant.reshape(points, -1), self.odd, self.values.reshape(points, -1))
+        return np.lexsort(keys, axis=-1)
 
 
 def _check_residuals(lams: np.ndarray, *models: _Chains) -> None:
     """Raise NonConvergence at the first point of ``lams``, in grid order
     and then in argument order, where a model's residual exceeds its
     threshold."""
-    _check_points(
-        lams,
-        np.stack([chains.residual for chains in models], axis=1),
-        np.stack([chains.threshold for chains in models], axis=1),
-    )
-
-
-def _check_points(lams: np.ndarray, residual: np.ndarray, threshold: np.ndarray) -> None:
-    """Raise NonConvergence at the first entry of ``residual`` above
-    ``threshold``, arrays with one row per point of ``lams``, in row-major
-    order."""
+    residual = np.stack([chains.residual for chains in models], axis=1)
+    threshold = np.stack([chains.threshold for chains in models], axis=1)
     failed = ~(residual <= threshold)
     if failed.any():
         first = np.unravel_index(np.argmax(failed), failed.shape)
@@ -425,29 +439,18 @@ def _check_points(lams: np.ndarray, residual: np.ndarray, threshold: np.ndarray)
         raise NonConvergence(message, residual=float(residual), lam=float(lams[first[0]]))
 
 
-def _eigen_order(basis: FockBasis, chains: _Chains) -> np.ndarray:
-    """The chain-major columns of each point of ``chains`` in ``EigenSystem``
-    order (p, c * K): by eigenvalue, exact ties EVEN before ODD, then by
-    ``dominant``, the row of each eigenvector's largest component."""
-    points = len(chains.values)
-    dominant = chains.dominant.reshape(points, -1)
-    odd = basis.parity_signs[dominant] < 0
-    return np.lexsort((dominant, odd, chains.values.reshape(points, -1)), axis=-1)
-
-
 def _point_system(basis: FockBasis, chains: _Chains, point: int) -> EigenSystem:
     """The read-only EigenSystem of one point of chains that hold every
     eigenpair, each vector written once into a dense matrix in chain-major
-    column order, then sorted by ``_eigen_order``."""
-    rows, dominant = chains.rows, chains.dominant[point].ravel()
+    column order, then sorted by ``chains.order``."""
+    rows, labels = chains.rows, chains.labels
     vectors = np.zeros((basis.dim, basis.dim))
-    columns = np.arange(dominant.size).reshape(rows.shape[0], -1)
+    columns = np.arange(labels.size).reshape(labels.shape)
     vectors[rows[:, :, None], columns[:, None]] = chains.vectors[:, point].transpose(1, 0, 2)
-    odd = basis.parity_signs[dominant] < 0
-    order = _eigen_order(basis, chains)[point]
+    order = chains.order[point]
     values = chains.values[point].ravel()[order]
-    vectors, labels = vectors[:, order], chains.labels.ravel()[order]
+    vectors, labels = vectors[:, order], labels.ravel()[order]
     for array in (values, vectors, labels):
         array.setflags(write=False)
-    parities = tuple(Parity.ODD if o else Parity.EVEN for o in odd[order].tolist())
+    parities = tuple(Parity.ODD if o else Parity.EVEN for o in chains.odd[point, order].tolist())
     return EigenSystem(values, vectors, parities, float(chains.residual[point]), labels)

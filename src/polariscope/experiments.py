@@ -23,7 +23,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .eigensolve import DEFAULT_TOL, _check_residuals, _check_tol, _eigen_order
+from .eigensolve import DEFAULT_TOL, _check_residuals, _check_tol
 from .model import ModelParams, Parity, _check_n_max, build_basis
 from .observables import _observable_arrays
 from .spectra import (
@@ -129,11 +129,11 @@ def _curve_positions(labels: np.ndarray) -> np.ndarray:
     return positions
 
 
-def _model_columns(model, chains, basis, params, curves, k):
+def _model_columns(model, chains, params, curves, k):
     """One model's SweepRow fields over a chunk of grid points, as arrays
     with one row per point.
 
-    Columns are sorted per point as ``EigenSystem`` sorts them; the tracked
+    Columns are sorted per point by ``chains.order``; the tracked
     curves are the labels of the lowest k at the grid's first point, which
     the first chunk records in ``curves``.  The full model's peaks are its
     two lowest odd-parity levels, the lowest of the odd chain, which parity
@@ -146,7 +146,7 @@ def _model_columns(model, chains, basis, params, curves, k):
     """
     points = len(chains.values)
     values = chains.values.reshape(points, -1)
-    order = _eigen_order(basis, chains)
+    order = chains.order
     point = np.arange(points)[:, None]
     energies = values[point, order]
     labels = chains.labels.ravel()
@@ -207,7 +207,7 @@ def _sweep_tables(
         rwa = _rwa_chains(params, lams[chunk], basis, tol)
         _check_residuals(lams[chunk], full, rwa)
         for model, chains in (("full", full), ("rwa", rwa)):
-            fields = _model_columns(model, chains, basis, params, curves, k_states)
+            fields = _model_columns(model, chains, params, curves, k_states)
             for name, values in fields.items():
                 table = tables.setdefault(name, np.empty((lams.size, *values.shape[1:])))
                 table[chunk] = values
@@ -225,8 +225,9 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Solve both Hamiltonians across the grid and tabulate results.
 
-    Needs k_states + 1 eigenstates (ground plus K transitions), so the basis
-    dimension 2(n_max+1) must be at least k_states + 1.  NonConvergence from
+    Needs k_states + 1 levels of each parity chain (ground plus K
+    transitions), so each chain's n_max + 1 levels must number at least
+    k_states + 1: n_max >= k_states.  NonConvergence from
     the eigensolver propagates with the first failing coupling in grid
     order attached.
 
@@ -277,11 +278,11 @@ def convergence_study(
     every truncation must retain at least k_states basis states.  The
     deviation column compares against the largest truncation in the list.
 
-    All rungs are solved at once, as the points of one chunk (see
-    ``spectra._rabi_ladder``): one bisection, one inverse iteration and one
-    residual pass, for only the lowest k_states levels of each parity
-    chain (fewer if the chain is shorter), which hold the rung's lowest
-    k_states energies.  The energies have the bits of
+    All rungs are solved at once, as the points of the one chain solve
+    that sweeps and single-coupling solves use (``spectra._rabi_pairs``,
+    through ``spectra._rabi_ladder``), for only the lowest k_states levels
+    of each parity chain (fewer if the chain is shorter), which hold the
+    rung's lowest k_states energies.  The energies have the bits of
     ``solve_rabi(...).eigenvalues[:k_states]`` at each rung.  The residual
     check covers exactly those levels: NonConvergence is raised at the
     first rung, in ascending order, where the residual of one of them
@@ -383,10 +384,10 @@ def spectrum_dataset(
     columns = ("model", "index", "energy", "parity", "nu", "photon_number", "atomic_energy")
     rows = []
     for model, chains in (("full", full), ("rwa", rwa)):
-        order = _eigen_order(basis, chains)[0, : k_states + 1]
+        order = chains.order[0, : k_states + 1]
         nbar, eatom = _observable_arrays(chains.vectors, params, chains.rows.T[:, None, :, None])
         energies, nbar, eatom = (array.ravel()[order] for array in (chains.values, nbar, eatom))
-        odd = basis.parity_signs[chains.dominant.ravel()[order]] < 0
+        odd = chains.odd[0, order]
         for k, energy in enumerate(energies.tolist()):
             parity = Parity.ODD if odd[k] else Parity.EVEN
             nu = float(energies[k] - energies[0])

@@ -94,6 +94,9 @@ class FockBasis:
 
     n_max: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_max", _check_n_max(self.n_max))
+
     @property
     def dim(self) -> int:
         return 2 * (self.n_max + 1)
@@ -144,7 +147,7 @@ def _check_n_max(n_max) -> int:
 
 def build_basis(n_max: int) -> FockBasis:
     """Canonical interleaved basis with photon numbers 0..n_max."""
-    return FockBasis(n_max=_check_n_max(n_max))
+    return FockBasis(n_max=n_max)
 
 
 def _annihilation(n_max: int) -> np.ndarray:

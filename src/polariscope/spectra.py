@@ -37,14 +37,11 @@ from .eigensolve import (
     EigenSystem,
     _bisect,
     _Chains,
-    _check_points,
     _check_residuals,
     _check_tol,
     _inverse_iteration,
     _point_system,
-    _residuals,
     _rotations,
-    _thresholds,
 )
 from .model import FockBasis, ModelParams, bare_energies, build_basis
 from .observables import _dipole_elements
@@ -112,31 +109,46 @@ def _diagonal_pairs(diag: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _rabi_pairs(
-    rows: np.ndarray,
-    diag: np.ndarray,
-    off: np.ndarray,
-    values: np.ndarray,
-    zero: np.ndarray,
+    params: ModelParams,
+    lams: np.ndarray,
+    basis: FockBasis,
+    sizes: np.ndarray,
+    levels: int,
     tol: float,
 ) -> _Chains:
-    """``_Chains`` of the lowest levels of the parity chains of
-    ``_rabi_chain_arrays`` at p couplings, from their bisected eigenvalues
-    ``values`` (p, 2, K).
+    """``_Chains`` of the lowest ``levels`` eigenpairs of the full
+    Hamiltonian's two parity chains at the couplings ``lams`` (p,), the
+    chains of point i cut to their leading ``sizes[i]`` rows of ``basis``'s:
+    neither the diagonal nor the off-diagonals of a chain depend on n_max,
+    so those are the chains of n_max = sizes[i] - 1.
 
-    At the points ``zero`` (lam = 0) the chains are diagonal: ``values`` is
-    overwritten there with the exact sorted diagonal and the eigenvectors
-    are basis states (``_diagonal_pairs``).  Elsewhere they come from
-    inverse iteration.
+    The rows past a point's end are padded with diagonal +inf and
+    off-diagonal 0, which count no eigenvalue in bisection and leave
+    eigenvectors exactly 0 in inverse iteration, so each point keeps the
+    bits of a solve of its own chains alone; lanes past its end hold NaN.
+    At the points where lam = 0 the chains are diagonal: the levels are the
+    exact sorted diagonal and the eigenvectors basis states
+    (``_diagonal_pairs``).  Only the other points are bisected and
+    inverse-iterated.
     """
-    m, levels = diag.shape[-1], values.shape[-1]
-    exact, basis_vectors = _diagonal_pairs(diag, levels)
+    rows, diag, off = _rabi_chain_arrays(params, lams, basis)
+    inside = np.arange(diag.shape[-1]) < sizes[:, None, None]
+    off = np.where(inside[..., 1:], off, 0.0)
+    padded = np.where(inside, diag, np.inf)
+    zero = lams == 0.0
+    # an index array: a mask pages ~0.1 MB more code into a converge run
+    on = np.flatnonzero(~zero)
+    coupled = padded[on], off[on]
+    values = np.empty((lams.size, 2, levels))
+    values[on] = _bisect(*coupled, levels)
+    np.copyto(values, np.nan, where=np.arange(levels) >= sizes[:, None, None])
+    exact, basis_vectors = _diagonal_pairs(np.where(inside[zero], diag, np.nan), levels)
     values[zero] = exact
-    v = np.empty((m, *values.shape))
-    v[:, zero] = basis_vectors[:, None]
-    on = ~zero
-    v[:, on] = _inverse_iteration(diag, off[on], values[on])
+    v = np.empty((diag.shape[-1], *values.shape))
+    v[:, zero] = basis_vectors
+    v[:, on] = _inverse_iteration(*coupled, values[on])
     labels = 2 * np.arange(levels) + np.arange(2)[:, None]
-    return _Chains(rows, labels, tol, diag, off, values, v)
+    return _Chains(basis, rows, labels, tol, diag, off, values, v, sizes)
 
 
 def _rabi_chunks(
@@ -154,13 +166,12 @@ def _rabi_chunks(
     bisected and inverse-iterated on its own, so its bits do not depend on
     the chunk.
     """
-    rows, diag, off = _rabi_chain_arrays(params, lams, basis)
     m = basis.n_max + 1
     size = max(1, _CHUNK_BYTES // (8 * (3 * m - 1) * 2 * levels))
     for start in range(0, lams.size, size):
-        chunk = slice(start, start + size)
-        values = _bisect(diag, off[chunk], levels)
-        yield chunk, _rabi_pairs(rows, diag, off[chunk], values, lams[chunk] == 0.0, tol)
+        chunk = lams[start : start + size]
+        sizes = np.full(chunk.size, m)
+        yield slice(start, start + size), _rabi_pairs(params, chunk, basis, sizes, levels, tol)
 
 
 def _rabi_ladder(
@@ -170,43 +181,21 @@ def _rabi_ladder(
     truncation of the ascending ``n_maxes``, shaped (rungs, k_states), with
     the bits of ``solve_rabi(...).eigenvalues[:k_states]`` at each rung.
 
-    Neither the diagonal nor the off-diagonals of a parity chain depend on
-    n_max, so each rung's chains are the leading rows of the largest
-    rung's.  The rungs are solved as the points of one chunk: their chains
-    are stacked (rungs, 2, M), with the rows past each rung's end padded by
-    an infinite diagonal and zero off-diagonals, which count no eigenvalue
-    in bisection and leave eigenvectors exactly 0 in inverse iteration.
-    One bisection and one inverse iteration find only the lowest
-    min(k_states, n_max + 1) levels of each chain, which hold the rung's
-    lowest k_states; lanes past a short rung's end hold NaN.  At lam = 0
-    the levels are the exact sorted diagonal instead.  One residual pass,
-    with the diagonal zeroed on padded rows, then gives each rung's worst
-    residual over its own levels, with the bits of a solve of that rung
-    alone, and NonConvergence is raised at the first rung, in ascending
-    order, whose residual exceeds its ``tol * ||H||_F``.
+    The rungs are solved as the points of one ``_rabi_pairs`` call, each
+    rung's chains the leading rows of the largest rung's, for only the
+    lowest min(k_states, n_max + 1) levels of each chain, which hold the
+    rung's lowest k_states.  Each rung's residual and threshold have the
+    bits of a solve of that rung alone, and NonConvergence is raised at the
+    first rung, in ascending order, whose residual exceeds its
+    ``tol * ||H||_F``.
     """
     _check_tol(tol)
-    lams = np.array([params.lam])
-    _, diag, off = _rabi_chain_arrays(params, lams, build_basis(n_maxes[-1]))
     sizes = np.array(n_maxes) + 1
-    levels = min(k_states, diag.shape[-1])
-    inside = np.arange(diag.shape[-1]) < sizes[:, None, None]
-    lanes = np.arange(levels) < sizes[:, None, None]
-    padded_off = np.where(inside[..., 1:], off, 0.0)
-    if params.lam == 0.0:
-        values, v = _diagonal_pairs(np.where(inside, diag, np.nan), levels)
-    else:
-        padded_diag = np.where(inside, diag, np.inf)
-        values = _bisect(padded_diag, padded_off, levels)
-        np.copyto(values, np.nan, where=~lanes)
-        v = _inverse_iteration(padded_diag, padded_off, values)
-    residual = _residuals(np.where(inside, diag, 0.0), padded_off, values, v, lanes)
-    # each rung's norm sums its own rows, in the order of a solve of it alone
-    threshold = np.concatenate(
-        [_thresholds(tol, diag[:, :size], off[..., : size - 1]) for size in sizes]
-    )
-    _check_points(np.repeat(lams, sizes.size), residual, threshold)
-    return np.sort(values.reshape(sizes.size, -1), axis=-1)[:, :k_states]
+    lams = np.full(sizes.size, params.lam)
+    basis, levels = build_basis(n_maxes[-1]), min(k_states, sizes[-1])
+    chains = _rabi_pairs(params, lams, basis, sizes, levels, tol)
+    _check_residuals(lams, chains)
+    return np.sort(chains.values.reshape(sizes.size, -1), axis=-1)[:, :k_states]
 
 
 def solve_rabi(
@@ -254,7 +243,7 @@ def _rwa_chains(
         values = diag + np.stack([-t, t], axis=-1) * off
     v = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)])
     labels = np.where(diag[:, 1:] < diag[:, :1], rows[:, ::-1], rows)
-    return _Chains(rows, labels, tol, diag, off, values, v)
+    return _Chains(basis, rows, labels, tol, diag, off, values, v, np.full(lams.size, 2))
 
 
 def solve_rwa(

@@ -330,7 +330,7 @@ def test_structured_solvers_match_jacobi_and_lapack(omega1, omega2, omega_c, lam
 )
 def test_order_parities_and_labels_match_a_lapack_oracle(omega2, lam, n_max, ties):
     # the oracle sorts LAPACK's eigenpairs in plain Python, so a change to
-    # _eigen_order's keys shows even where every other reference sorts
+    # the keys of _Chains.order shows even where every other reference sorts
     # through it; positions whose values are near but not exactly tied
     # are compared as sets
     params, basis = ModelParams(omega2=omega2, lam=lam), ps.build_basis(n_max)

@@ -239,7 +239,7 @@ def test_run_sweep_deterministic_repeat():
 
 def test_run_sweep_validation():
     with pytest.raises(ps.ValidationError):
-        ps.run_sweep(ps.SweepGrid(), n_max=2, k_states=7)  # dim 6 < 8
+        ps.run_sweep(ps.SweepGrid(), n_max=2, k_states=7)  # chains of 3 < 8 levels
     with pytest.raises(ps.ValidationError):
         ps.run_sweep(ps.SweepGrid(), k_states=0)
 
@@ -318,12 +318,14 @@ def _rung_chains(params, n_max, k_states, tol=1e-12):
 
 
 def _ladder_check(params, ladder, k_states, tol=1e-12):
-    """The energies of ``convergence_study`` and the (residual, threshold)
-    arrays its ladder passes to the residual check."""
-    with mock.patch.object(spectra, "_check_points", wraps=eigensolve._check_points) as check:
+    """The energies of ``convergence_study`` and the residual and threshold
+    arrays of the chains its ladder passes to the residual check."""
+    with mock.patch.object(
+        spectra, "_check_residuals", wraps=eigensolve._check_residuals
+    ) as check:
         rows = ps.convergence_study(params, ladder, k_states, tol=tol)
-    [(_, residual, threshold)] = [call.args for call in check.call_args_list]
-    return rows, residual, threshold
+    [(_, chains)] = [call.args for call in check.call_args_list]
+    return rows, chains.residual, chains.threshold
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -365,6 +367,23 @@ def test_ladder_restarts_like_per_rung_solves():
     assert threshold.tobytes() == np.concatenate([c.threshold for c in rungs]).tobytes()
     for row, chains in zip(rows, rungs):
         assert row.energies.tobytes() == np.sort(chains.values, axis=None)[:k_states].tobytes()
+
+
+def test_ladder_residuals_ignore_rows_past_a_rung_end():
+    # at omega_c = 1e307 the diagonal overflows to inf from n = 18 on, past
+    # the ends of the two short rungs: the residual check zeroes the
+    # diagonal there, so they keep the residuals of per-rung solves, and
+    # only the long rung, which holds those rows, fails
+    params, ladder = ModelParams(omega_c=1e307), [4, 10, 20]
+    with mock.patch.object(
+        spectra, "_check_residuals", wraps=eigensolve._check_residuals
+    ) as check, pytest.raises(ps.NonConvergence):
+        ps.convergence_study(params, ladder)
+    [(_, chains)] = [call.args for call in check.call_args_list]
+    rungs = [_rung_chains(params, n_max, 7) for n_max in ladder]
+    short = np.concatenate([c.residual for c in rungs[:2]])
+    assert chains.residual[:2].tobytes() == short.tobytes()
+    assert np.isnan(chains.residual[2]) and np.isnan(rungs[2].residual[0])
 
 
 def test_ladder_nonconvergence_names_the_first_failing_rung():

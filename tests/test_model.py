@@ -180,6 +180,16 @@ def test_build_basis_validation(n_max):
         ps.build_basis(n_max)
 
 
+def test_fock_basis_validates_its_own_n_max():
+    # the public constructor checks n_max as build_basis does, before a
+    # solver reaches numpy with a negative or fractional size
+    for n_max in (-1, 2.5):
+        with pytest.raises(ps.ValidationError):
+            ps.FockBasis(n_max)
+    basis = ps.FockBasis(3.0)
+    assert type(basis.n_max) is int and basis.dim == 8
+
+
 def test_parity_chains_and_bare_energies():
     basis = ps.build_basis(2)
     # even chain |g,0>, |e,1>, |g,2>; odd chain |e,0>, |g,1>, |e,2>
